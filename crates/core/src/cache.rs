@@ -215,11 +215,6 @@ impl SynthCache {
         self.inner.lock().unwrap().journal = Some(Journal { store });
     }
 
-    /// Detaches the journal sink; inserts stop appending.
-    pub fn detach_journal(&self) {
-        self.inner.lock().unwrap().journal = None;
-    }
-
     /// Cumulative journal records successfully appended.
     pub fn journal_appends(&self) -> u64 {
         self.inner.lock().unwrap().journal_appends

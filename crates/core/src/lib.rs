@@ -26,9 +26,7 @@
 //! [`Diagnostics`] record collects per-stage wall times and counters,
 //! and a [`SynthCache`] turns repeated identical runs into O(1)
 //! lookups — and, through a [`CacheStore`], persists them across
-//! processes. The legacy free functions ([`synthesize`],
-//! [`synthesize_with`], [`synthesize_stg`], [`synthesize_stg_from`])
-//! are deprecated thin wrappers over [`Parsed::run`].
+//! processes. [`Parsed::run`] runs the whole chain in one call.
 //!
 //! # Example
 //!
@@ -360,94 +358,16 @@ impl Synthesis {
     }
 }
 
-/// Runs the full pipeline on `.g` source text and returns the mapped
-/// netlist.
-///
-/// Thin wrapper over the [`Pipeline`] builder (prefer it for new code:
-/// it exposes per-stage artifacts, [`Diagnostics`] and [`SynthCache`]
-/// reuse). Equivalent to [`synthesize_with`] under
-/// [`PipelineOptions::default`].
-///
-/// # Errors
-///
-/// Any stage failure, tagged by [`PipelineError`] variant.
-#[deprecated(since = "0.1.0", note = "use Pipeline")]
-pub fn synthesize(g_source: &str) -> Result<Netlist> {
-    #[allow(deprecated)]
-    synthesize_with(g_source, &PipelineOptions::default()).map(|s| s.netlist)
-}
-
-/// Runs the full pipeline with explicit options, returning every
-/// intermediate artifact.
-///
-/// Thin wrapper over [`Pipeline::from_g`] + [`Parsed::run`]; prefer
-/// the builder for new code.
-///
-/// # Errors
-///
-/// Any stage failure, tagged by [`PipelineError`] variant.
-#[deprecated(since = "0.1.0", note = "use Pipeline")]
-pub fn synthesize_with(g_source: &str, opts: &PipelineOptions) -> Result<Synthesis> {
-    Pipeline::from_g(g_source)?
-        .run(opts)
-        .map(Synthesized::into_synthesis)
-}
-
-/// Runs the pipeline on an already-parsed STG.
-///
-/// Thin wrapper over [`Pipeline::from_stg`] + [`Parsed::run`]; prefer
-/// the builder for new code.
-///
-/// Partial specifications (declared `.handshake` channels or toggle
-/// events) are routed through the handshake-expansion stage when
-/// [`PipelineOptions::expand`] is set, and rejected with
-/// [`PipelineError::Expand`] otherwise.
-///
-/// # Errors
-///
-/// Any stage failure, tagged by [`PipelineError`] variant.
-#[deprecated(since = "0.1.0", note = "use Pipeline")]
-pub fn synthesize_stg(spec: &Stg, opts: &PipelineOptions) -> Result<Synthesis> {
-    Pipeline::from_stg(spec)
-        .run(opts)
-        .map(Synthesized::into_synthesis)
-}
-
-/// [`synthesize_stg`] for callers that already built the
-/// specification's state graph (`sg0` must be the state graph of
-/// `spec`); avoids rebuilding the most expensive artifact. Rejects
-/// partial specifications (their candidates carry their own graphs).
-///
-/// Thin wrapper over [`Pipeline::from_parts`] and the staged chain;
-/// prefer the builder for new code.
-///
-/// # Errors
-///
-/// Any stage failure, tagged by [`PipelineError`] variant.
-#[deprecated(since = "0.1.0", note = "use Pipeline")]
-pub fn synthesize_stg_from(
-    spec: &Stg,
-    sg0: StateGraph,
-    opts: &PipelineOptions,
-) -> Result<Synthesis> {
-    let expanded = Pipeline::from_parts(spec.clone(), sg0).complete()?;
-    let reduced = match &opts.reduce {
-        Some(ropts) => expanded.reduce(ropts)?,
-        None => expanded.skip_reduce(),
-    };
-    let resolved = reduced.resolve(&opts.csc)?;
-    let done = if opts.skip_verify {
-        resolved.synthesize_unverified(opts.style)?
-    } else {
-        resolved.synthesize(opts.style)?
-    };
-    Ok(done.into_synthesis())
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the suite pins the legacy wrappers' behavior
 mod tests {
     use super::*;
+
+    /// One-call run of `.g` source text.
+    fn run_g(g_source: &str, opts: &PipelineOptions) -> Result<Synthesis> {
+        Pipeline::from_g(g_source)?
+            .run(opts)
+            .map(Synthesized::into_synthesis)
+    }
 
     const TOGGLE_G: &str = "\
 .model toggle
@@ -492,14 +412,16 @@ Req+ Ack+
 
     #[test]
     fn toggle_synthesizes_to_wire() {
-        let netlist = synthesize(TOGGLE_G).unwrap();
+        let netlist = run_g(TOGGLE_G, &PipelineOptions::default())
+            .unwrap()
+            .netlist;
         let b = netlist.signal_by_name("b").unwrap();
         assert!(netlist.is_wire(b));
     }
 
     #[test]
     fn xyz_full_pipeline() {
-        let s = synthesize_with(XYZ_G, &PipelineOptions::default()).unwrap();
+        let s = run_g(XYZ_G, &PipelineOptions::default()).unwrap();
         assert_eq!(s.sg.num_states(), 6);
         assert!(s.inserted.is_empty());
         assert_eq!(s.netlist.signals().len(), 3);
@@ -511,7 +433,7 @@ Req+ Ack+
             style: ImplStyle::GeneralizedC,
             ..Default::default()
         };
-        let s = synthesize_with(XYZ_G, &opts).unwrap();
+        let s = run_g(XYZ_G, &opts).unwrap();
         assert_eq!(s.netlist.signals().len(), 3);
     }
 
@@ -520,7 +442,7 @@ Req+ Ack+
         // Fig. 1 violates CSC; the pipeline must either insert a state
         // signal and verify, or report the stalled resolution — never
         // silently synthesize conflicted logic.
-        match synthesize_with(FIG1_G, &PipelineOptions::default()) {
+        match run_g(FIG1_G, &PipelineOptions::default()) {
             Ok(s) => assert!(!s.inserted.is_empty()),
             Err(PipelineError::Synth(SynthError::CscResolutionFailed { .. })) => {}
             Err(e) => panic!("unexpected pipeline error: {e}"),
@@ -546,7 +468,7 @@ Req+ Ack+
     #[test]
     fn reduce_stage_rescues_insertion_stalls() {
         // Without reduction the pipeline stalls on mfig1 …
-        let default_run = synthesize_with(MFIG1_G, &PipelineOptions::default());
+        let default_run = run_g(MFIG1_G, &PipelineOptions::default());
         assert!(matches!(
             default_run,
             Err(PipelineError::Synth(SynthError::CscResolutionFailed { .. }))
@@ -556,7 +478,7 @@ Req+ Ack+
             reduce: Some(ReduceOptions::default()),
             ..Default::default()
         };
-        let s = synthesize_with(MFIG1_G, &opts).unwrap();
+        let s = run_g(MFIG1_G, &opts).unwrap();
         // The typed move list carries label and per-move statistics.
         assert_eq!(s.move_labels().collect::<Vec<_>>(), ["Ack- -> Req+"]);
         assert_eq!(s.moves.len(), 1);
@@ -571,7 +493,7 @@ Req+ Ack+
             reduce: Some(ReduceOptions::default()),
             ..Default::default()
         };
-        let s = synthesize_with(XYZ_G, &opts).unwrap();
+        let s = run_g(XYZ_G, &opts).unwrap();
         assert!(s.moves.is_empty());
         assert_eq!(s.sg.num_states(), 6);
     }
@@ -585,7 +507,7 @@ Req+ Ack+
             }),
             ..Default::default()
         };
-        match synthesize_with(XYZ_G, &opts) {
+        match run_g(XYZ_G, &opts) {
             Err(PipelineError::Reduce(ReduceError::NoFeasibleReduction)) => {}
             other => panic!("expected infeasible-reduction error, got {other:?}"),
         }
@@ -610,7 +532,7 @@ Go- Req~
 
     #[test]
     fn partial_specs_require_the_expand_stage() {
-        match synthesize(PCREQ_G) {
+        match run_g(PCREQ_G, &PipelineOptions::default()) {
             Err(PipelineError::Expand(HandshakeError::NotExpanded)) => {}
             other => panic!("expected NotExpanded, got {other:?}"),
         }
@@ -622,7 +544,7 @@ Go- Req~
             expand: Some(ExpansionOptions::default()),
             ..Default::default()
         };
-        let s = synthesize_with(PCREQ_G, &opts).unwrap();
+        let s = run_g(PCREQ_G, &opts).unwrap();
         // The winner serializes Req- behind Go+ and Ack- behind Go-:
         // one state signal and 6 literals, against the eager extreme's
         // two signals and 16 literals.
@@ -641,7 +563,7 @@ Go- Req~
             expand: Some(ExpansionOptions::default()),
             ..Default::default()
         };
-        let s = synthesize_with(XYZ_G, &opts).unwrap();
+        let s = run_g(XYZ_G, &opts).unwrap();
         assert!(s.expansion.is_empty());
         assert_eq!(s.sg.num_states(), 6);
     }
@@ -653,7 +575,7 @@ Go- Req~
             reduce: Some(ReduceOptions::default()),
             ..Default::default()
         };
-        let s = synthesize_with(PCREQ_G, &opts).unwrap();
+        let s = run_g(PCREQ_G, &opts).unwrap();
         // With the reduce stage composed per candidate, serializing
         // moves dissolve every conflict: no state signal at all beats
         // the expansion-only winner.
@@ -668,7 +590,7 @@ Go- Req~
         // persistency is violated, so the paper's flow must refuse it.
         let nsi = ".model nsi\n.inputs a\n.outputs b\n.graph\n\
              p0 a+ b+\na+ p1\nb+ p2\n.marking { p0 }\n.end\n";
-        match synthesize(nsi) {
+        match run_g(nsi, &PipelineOptions::default()) {
             Err(PipelineError::NotSpeedIndependent { violations }) => assert!(violations > 0),
             other => panic!("expected SI rejection, got {other:?}"),
         }
@@ -676,7 +598,7 @@ Go- Req~
 
     #[test]
     fn parse_errors_are_tagged() {
-        match synthesize(".model broken\n.end\n") {
+        match run_g(".model broken\n.end\n", &PipelineOptions::default()) {
             Err(PipelineError::Parse(_)) => {}
             other => panic!("expected parse error, got {other:?}"),
         }
@@ -817,7 +739,6 @@ Go- Req~
             "stage.expand",
             "stage.resolve",
             "stage.synthesize",
-            "bfs.markings",
             "bfs.encode",
         ] {
             assert!(has(name), "missing span {name} in {lines:#?}");
@@ -918,7 +839,7 @@ Go- Req~
         );
         // Sharing must not change the outcome: same winner as an
         // uncached selection run.
-        let uncached = synthesize_with(PCREQ_G, &opts).unwrap();
+        let uncached = run_g(PCREQ_G, &opts).unwrap();
         assert_eq!(
             done.synthesis().netlist.describe(),
             uncached.netlist.describe()

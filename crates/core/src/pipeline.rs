@@ -185,6 +185,29 @@ struct Ctx {
     cand_cache: Option<SynthCache>,
 }
 
+impl Ctx {
+    /// Consults the attached cache, if any, for `key` under a
+    /// `cache.lookup` span. A hit finishes the run with the diagnostics
+    /// so far; a miss is counted and the chain goes on.
+    fn lookup(&mut self, cache: Option<&SynthCache>, key: u64) -> Option<Synthesized> {
+        let cache = cache?;
+        let sp = self.span.span("cache.lookup");
+        let t = Instant::now();
+        let Some(synthesis) = cache.lookup(key) else {
+            self.diag.cache_misses += 1;
+            sp.end(&[("hit", FieldVal::U64(0))]);
+            return None;
+        };
+        let mut diag = std::mem::take(&mut self.diag);
+        diag.cache_hits += 1;
+        // The hit path is not free: surface the lookup latency as a
+        // pseudo-stage instead of recording nothing.
+        diag.record(Stage::CacheHit, t.elapsed(), None, None, None);
+        sp.end(&[("hit", FieldVal::U64(1))]);
+        Some(Synthesized { synthesis, diag })
+    }
+}
+
 /// One in-flight refinement of the specification.
 #[derive(Debug)]
 struct Candidate {
@@ -253,8 +276,8 @@ fn enforce_live<T>(cands: &[Result<T>]) -> Result<()> {
     }
 }
 
-/// Rejects specifications that are not speed-independent, with the
-/// violation-witness count the legacy facade reported.
+/// Rejects specifications that are not speed-independent, reporting
+/// the number of violation witnesses.
 fn gate_speed_independence(sg: &StateGraph) -> Result<()> {
     let si = speed_independence(sg);
     if si.is_speed_independent() {
@@ -394,10 +417,10 @@ impl Parsed {
     }
 
     /// Attaches a trace context: every subsequent stage transition
-    /// emits a `stage.*` span under it, state-graph builds emit
-    /// `bfs.markings`/`bfs.encode` child spans, and cache consultations
-    /// emit `cache.lookup` spans. Tracing is observation only — it
-    /// never changes what the pipeline produces.
+    /// emits a `stage.*` span under it, state-graph builds emit a
+    /// `bfs.encode` child span, and cache consultations emit
+    /// `cache.lookup` spans. Tracing is observation only — it never
+    /// changes what the pipeline produces.
     pub fn with_trace(mut self, span: SpanCtx) -> Parsed {
         self.ctx.span = span;
         self
@@ -564,11 +587,10 @@ impl Parsed {
     }
 
     /// The one-call shortcut: runs the whole chain under a flat
-    /// [`PipelineOptions`], reproducing the legacy free functions —
-    /// `expand` set routes through [`Parsed::expand`], `reduce` set
-    /// through [`Expanded::reduce`], and an attached [`SynthCache`] is
-    /// consulted *before* any stage runs (a hit records no stage
-    /// timings).
+    /// [`PipelineOptions`] — `expand` set routes through
+    /// [`Parsed::expand`], `reduce` set through [`Expanded::reduce`], and
+    /// an attached [`SynthCache`] is consulted *before* any stage runs (a
+    /// hit records no stage timings).
     ///
     /// # Errors
     ///
@@ -578,20 +600,8 @@ impl Parsed {
         self.ctx.state_budget = opts.state_budget;
         let cache = self.ctx.cache.take();
         let key = options_key(self.ctx.spec_fp, opts);
-        if let Some(cache) = &cache {
-            let sp = self.ctx.span.span("cache.lookup");
-            let t = Instant::now();
-            if let Some(synthesis) = cache.lookup(key) {
-                let mut diag = self.ctx.diag;
-                diag.cache_hits += 1;
-                // The hit path is not free: surface the lookup latency
-                // as a pseudo-stage instead of recording nothing.
-                diag.record(Stage::CacheHit, t.elapsed(), None, None, None);
-                sp.end(&[("hit", FieldVal::U64(1))]);
-                return Ok(Synthesized { synthesis, diag });
-            }
-            self.ctx.diag.cache_misses += 1;
-            sp.end(&[("hit", FieldVal::U64(0))]);
+        if let Some(hit) = self.ctx.lookup(cache.as_ref(), key) {
+            return Ok(hit);
         }
         let expanded = match &opts.expand {
             Some(eopts) => self.expand(eopts)?,
@@ -930,20 +940,8 @@ impl Resolved {
         self.ctx.opts_hash = mix_synthesize(self.ctx.opts_hash, style, verify);
         self.ctx.cand_hash = mix_synthesize(self.ctx.cand_hash, style, verify);
         let key = mix(self.ctx.spec_fp, "key", &[self.ctx.opts_hash]);
-        if let Some(cache) = &self.ctx.cache {
-            let sp = self.ctx.span.span("cache.lookup");
-            let t_lookup = Instant::now();
-            if let Some(synthesis) = cache.lookup(key) {
-                let mut diag = self.ctx.diag;
-                diag.cache_hits += 1;
-                // The hit path is not free: surface the lookup latency
-                // as a pseudo-stage instead of recording nothing.
-                diag.record(Stage::CacheHit, t_lookup.elapsed(), None, None, None);
-                sp.end(&[("hit", FieldVal::U64(1))]);
-                return Ok(Synthesized { synthesis, diag });
-            }
-            self.ctx.diag.cache_misses += 1;
-            sp.end(&[("hit", FieldVal::U64(0))]);
+        if let Some(hit) = self.ctx.lookup(self.ctx.cache.clone().as_ref(), key) {
+            return Ok(hit);
         }
         let sp = self.ctx.span.span("stage.synthesize");
         let selecting = self.ctx.selecting;

@@ -84,11 +84,6 @@ impl Cover {
         self.cubes.iter().any(|c| c.covers_point(code))
     }
 
-    /// True if some single cube covers `cube` entirely.
-    pub fn single_cube_covers(&self, cube: Cube) -> bool {
-        self.cubes.iter().any(|c| c.covers(cube))
-    }
-
     /// The union of two covers.
     pub fn or(&self, other: &Cover) -> Cover {
         assert_eq!(self.num_vars, other.num_vars);

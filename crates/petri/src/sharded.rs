@@ -18,9 +18,9 @@
 //! cache keys stable.
 //!
 //! The engine is generic over the key type (markings for the raw
-//! reachability graph, `(marking node, binary code)` pairs for the
-//! encoded state graph) and reports the level-synchronous peak
-//! frontier width for diagnostics.
+//! reachability graph, `(marking, toggle parity)` pairs for the state
+//! graph build) and reports the level-synchronous peak frontier width
+//! for diagnostics.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

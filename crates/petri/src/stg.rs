@@ -340,11 +340,6 @@ impl Stg {
         self.initial = Marking::with_tokens(self.net.num_places(), places);
     }
 
-    /// Sets the initial marking directly.
-    pub fn set_initial_marking(&mut self, m: Marking) {
-        self.initial = m;
-    }
-
     /// The initial marking, resized to the current number of places.
     pub fn initial_marking(&self) -> Marking {
         if self.initial.num_places() == self.net.num_places() {

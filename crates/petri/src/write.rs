@@ -1,4 +1,4 @@
-//! Writers: astg (`.g`) output and Graphviz dot export.
+//! Writer for astg (`.g`) output.
 
 use std::fmt::Write as _;
 
@@ -91,65 +91,6 @@ pub fn write_g(stg: &Stg) -> String {
     out
 }
 
-/// Renders an [`Stg`] as a Graphviz digraph for visual inspection.
-/// Transitions are boxes (inputs dashed), places are circles; implicit
-/// places are elided into direct edges as is conventional for STGs.
-pub fn write_dot(stg: &Stg) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", stg.name);
-    let _ = writeln!(out, "  rankdir=TB;");
-    for t in stg.transitions() {
-        let style = if stg.is_input_transition(t) {
-            ",style=dashed"
-        } else {
-            ""
-        };
-        let _ = writeln!(out, "  \"{}\" [shape=box{style}];", stg.transition_name(t));
-    }
-    let m0 = stg.initial_marking();
-    for p in stg.places() {
-        if stg.net().is_isolated_place(p) {
-            continue;
-        }
-        if is_implicit(stg, p) && !m0.contains(p) {
-            let a = stg.net().producers(p)[0];
-            let b = stg.net().consumers(p)[0];
-            let _ = writeln!(
-                out,
-                "  \"{}\" -> \"{}\";",
-                stg.transition_name(a),
-                stg.transition_name(b)
-            );
-        } else {
-            let label = if m0.contains(p) { "&bull;" } else { "" };
-            let _ = writeln!(
-                out,
-                "  \"{}\" [shape=circle,label=\"{label}\",xlabel=\"{}\"];",
-                stg.net().place_name(p),
-                stg.net().place_name(p)
-            );
-            for &a in stg.net().producers(p) {
-                let _ = writeln!(
-                    out,
-                    "  \"{}\" -> \"{}\";",
-                    stg.transition_name(a),
-                    stg.net().place_name(p)
-                );
-            }
-            for &b in stg.net().consumers(p) {
-                let _ = writeln!(
-                    out,
-                    "  \"{}\" -> \"{}\";",
-                    stg.net().place_name(p),
-                    stg.transition_name(b)
-                );
-            }
-        }
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,15 +144,5 @@ Req+ Ack+
         let g2 = parse_g(&text).unwrap();
         assert_eq!(g2.handshakes(), g1.handshakes());
         assert!(g2.is_partial());
-    }
-
-    #[test]
-    fn dot_output_mentions_all_transitions() {
-        let g = parse_g(FIG1).unwrap();
-        let dot = write_dot(&g);
-        for t in g.transitions() {
-            assert!(dot.contains(g.transition_name(t)));
-        }
-        assert!(dot.starts_with("digraph"));
     }
 }

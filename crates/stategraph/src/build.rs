@@ -1,24 +1,31 @@
-//! Building a [`StateGraph`] from an [`Stg`]: reachability exploration
-//! plus binary encoding.
+//! Building a [`StateGraph`] from an [`Stg`]: one reachability
+//! exploration that binary-encodes every state it visits.
 //!
-//! The construction explores *(marking, code)* pairs: firing `a+` sets
-//! bit `a` (and is a consistency violation if already set), `a-` clears
-//! it, `a~` toggles it, dummies leave the code unchanged. For rise/fall
-//! signals the initial value is inferred first by constraint propagation
-//! over the plain marking graph (explicit `.g` files rarely declare
-//! initial values); toggle signals default to the STG's declared initial
-//! value or 0.
+//! The exploration visits *(marking, parity)* pairs. The parity records
+//! which toggle-edged (`a~`) signals have switched an odd number of
+//! times, so a toggle-free STG visits each marking exactly once, and a
+//! 2-phase specification unfolds into the `(marking, parity)` product it
+//! means. Firing `a+` sets bit `a`, `a-` clears it, `a~` toggles it, and
+//! dummies leave the code unchanged.
 //!
-//! For STGs without toggle edges a marking must encode to a unique code;
-//! reaching one marking with two codes is reported as an inconsistency
-//! (petrify's semantics). With toggle edges (2-phase specifications) the
-//! `(marking, parity)` unfolding is the intended behaviour.
+//! Initial values are solved afterwards, in one pass over the explored
+//! arcs: `a+` needs `a = 0` before it and `a-` needs `a = 1`, which
+//! fixes every rise/fall signal that fires (explicit `.g` files rarely
+//! declare initial values). A declared initial value must agree with
+//! those arcs; a signal no arc constrains starts at 0. A signal with
+//! both toggle and rise/fall edges is solved over the marking graph
+//! instead, by constraint propagation in which its own toggle arcs
+//! constrain nothing.
+//!
+//! Any disagreement is reported as [`SgError::Inconsistent`]: an edge
+//! firing from the wrong value, or one marking reached under two codes
+//! of a signal without toggle edges (petrify's semantics).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use reshuffle_obs::{FieldVal, SpanCtx};
 use reshuffle_petri::sharded::{self, ExploreOptions};
-use reshuffle_petri::{Marking, Polarity, ReachabilityGraph, SignalId, Stg};
+use reshuffle_petri::{Marking, PetriError, Polarity, SignalId, Stg, TransitionId};
 
 use crate::error::{Result, SgError};
 use crate::sg::{EventId, EventInfo, StateGraph};
@@ -65,9 +72,8 @@ pub struct BuildOptions {
     /// the `RESHUFFLE_THREADS` environment variable — CI uses that to
     /// assert thread-count independence of whole reports.
     pub threads: usize,
-    /// Trace context: the build opens `bfs.markings` and `bfs.encode`
-    /// child spans (level 1) and per-shard `bfs.shard` spans (level 2)
-    /// under it. Disabled by default; never affects the built graph.
+    /// Trace context: the build opens a `bfs.encode` child span
+    /// (level 1) and per-shard `bfs.shard` spans (level 2) under it. Disabled by default; never affects the built graph.
     pub span: SpanCtx,
 }
 
@@ -104,8 +110,7 @@ pub struct BuildStats {
     pub arcs: usize,
     /// Distinct interned markings.
     pub interned_markings: usize,
-    /// Largest breadth-first frontier across the marking and encoding
-    /// explorations.
+    /// Largest breadth-first frontier of the exploration.
     pub peak_frontier: usize,
     /// Worker threads the build resolved to.
     pub threads: usize,
@@ -120,153 +125,15 @@ pub fn build_state_graph(stg: &Stg) -> Result<StateGraph> {
     build_state_graph_with(stg, &BuildOptions::default())
 }
 
-/// Infers the initial value of every signal.
-///
-/// Rise/fall signals: constraint propagation over the marking graph
-/// (`a+` fixes 0 at its source marking and 1 at its target). Toggle or
-/// constant signals: the explicit initial value, or 0.
-fn infer_initial_values(stg: &Stg, rg: &ReachabilityGraph) -> Result<Vec<bool>> {
-    let n = rg.len();
-    let num_signals = stg.num_signals();
-    // Which signals need inference: rise/fall edges, no explicit value.
-    let mut needs = vec![false; num_signals];
-    for t in stg.transitions() {
-        if let Some(e) = stg.edge_of(t) {
-            if matches!(e.polarity, Polarity::Rise | Polarity::Fall)
-                && stg.initial_value(e.signal).is_none()
-            {
-                needs[e.signal.index()] = true;
-            }
-        }
-    }
-    let mut initial = vec![false; num_signals];
-    for s in stg.signals() {
-        if let Some(v) = stg.initial_value(s) {
-            initial[s.index()] = v;
-        }
-    }
-    if !needs.iter().any(|&b| b) {
-        return Ok(initial);
-    }
-
-    // values[marking][signal]
-    let mut values: Vec<Vec<Option<bool>>> = vec![vec![None; num_signals]; n];
-    let assign = |values: &mut Vec<Vec<Option<bool>>>,
-                  m: usize,
-                  sig: SignalId,
-                  v: bool|
-     -> std::result::Result<bool, SgError> {
-        match values[m][sig.index()] {
-            None => {
-                values[m][sig.index()] = Some(v);
-                Ok(true)
-            }
-            Some(old) if old == v => Ok(false),
-            Some(old) => Err(SgError::Inconsistent {
-                signal: stg.signal(sig).name.clone(),
-                witness: format!(
-                    "marking #{m} requires {} = {} and {}",
-                    stg.signal(sig).name,
-                    old as u8,
-                    v as u8
-                ),
-            }),
-        }
-    };
-
-    // Seed with rise/fall endpoint constraints.
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut in_queue = vec![false; n];
-    let push = |queue: &mut VecDeque<usize>, in_queue: &mut Vec<bool>, m: usize| {
-        if !in_queue[m] {
-            in_queue[m] = true;
-            queue.push_back(m);
-        }
-    };
-    for m in 0..n {
-        for &(t, tgt) in rg.successors(m as u32) {
-            if let Some(edge) = stg.edge_of(t) {
-                if !needs[edge.signal.index()] {
-                    continue;
-                }
-                let (pre, post) = match edge.polarity {
-                    Polarity::Rise => (false, true),
-                    Polarity::Fall => (true, false),
-                    Polarity::Toggle => continue,
-                };
-                if assign(&mut values, m, edge.signal, pre)? {
-                    push(&mut queue, &mut in_queue, m);
-                }
-                if assign(&mut values, tgt as usize, edge.signal, post)? {
-                    push(&mut queue, &mut in_queue, tgt as usize);
-                }
-            }
-        }
-    }
-
-    // Propagate equalities: along any arc not switching the signal, the
-    // value is preserved (in both directions).
-    let pred = {
-        let mut p: Vec<Vec<(usize, reshuffle_petri::TransitionId)>> = vec![Vec::new(); n];
-        for m in 0..n {
-            for &(t, tgt) in rg.successors(m as u32) {
-                p[tgt as usize].push((m, t));
-            }
-        }
-        p
-    };
-    while let Some(m) = queue.pop_front() {
-        in_queue[m] = false;
-        let snapshot = values[m].clone();
-        for &(t, tgt) in rg.successors(m as u32) {
-            let switched = stg.edge_of(t).map(|e| e.signal);
-            for (i, v) in snapshot.iter().enumerate() {
-                let (Some(v), sig) = (*v, SignalId::from_index(i)) else {
-                    continue;
-                };
-                if !needs[i] || switched == Some(sig) {
-                    continue;
-                }
-                if assign(&mut values, tgt as usize, sig, v)? {
-                    push(&mut queue, &mut in_queue, tgt as usize);
-                }
-            }
-        }
-        for &(src, t) in &pred[m] {
-            let switched = stg.edge_of(t).map(|e| e.signal);
-            for (i, v) in snapshot.iter().enumerate() {
-                let (Some(v), sig) = (*v, SignalId::from_index(i)) else {
-                    continue;
-                };
-                if !needs[i] || switched == Some(sig) {
-                    continue;
-                }
-                if assign(&mut values, src, sig, v)? {
-                    push(&mut queue, &mut in_queue, src);
-                }
-            }
-        }
-    }
-
-    for (i, need) in needs.iter().enumerate() {
-        if *need {
-            // Default an unconstrained signal (can happen when the
-            // marking graph never switches it) to 0.
-            initial[i] = values[0][i].unwrap_or(false);
-        }
-    }
-    Ok(initial)
-}
-
 /// Builds the state graph of `stg`.
 ///
-/// The construction runs two sharded parallel breadth-first
-/// explorations ([`reshuffle_petri::sharded`]) — the raw marking graph,
-/// then the *(marking, code)* encoding product — each followed by a
-/// canonical renumbering, so the result is identical for every
-/// [`BuildOptions::threads`] value. The graph is assembled directly
-/// into the compressed CSR layout with markings interned into one
-/// shared arena.
+/// The construction runs one sharded parallel breadth-first exploration
+/// ([`reshuffle_petri::sharded`]) of *(marking, parity)* pairs, followed
+/// by a canonical renumbering, so the result is identical for every
+/// [`BuildOptions::threads`] value. A single pass over the explored arcs
+/// then solves the initial values, checks consistency (see the module
+/// docs) and assembles the compressed CSR layout, with markings interned
+/// into one shared arena.
 ///
 /// # Errors
 ///
@@ -289,104 +156,132 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
     if stg.num_signals() > 64 {
         return Err(SgError::TooManySignals(stg.num_signals()));
     }
-    let sp_markings = opts.span.span("bfs.markings");
-    let rg = ReachabilityGraph::explore_opts(
-        stg.net(),
-        &stg.initial_marking(),
-        &ExploreOptions::new(opts.threads, opts.state_budget).with_span(sp_markings.ctx()),
-    )?;
-    sp_markings.end(&[
-        ("states", FieldVal::U64(rg.len() as u64)),
-        ("peak_frontier", FieldVal::U64(rg.peak_frontier() as u64)),
-    ]);
-    let initial_values = infer_initial_values(stg, &rg)?;
-    let mut code0 = 0u64;
-    for (i, &v) in initial_values.iter().enumerate() {
-        if v {
-            code0 |= 1 << i;
+    let net = stg.net();
+    // Per transition, the code bit it switches and its polarity; then
+    // the signals with toggle edges, rise/fall edges and declared
+    // initial values.
+    let (mut edges, mut toggled, mut rise_fall) = (Vec::new(), 0u64, 0u64);
+    for t in stg.transitions() {
+        let polarity = stg.edge_of(t).map(|e| e.polarity);
+        let bit = stg.edge_of(t).map_or(0, |e| 1 << e.signal.index());
+        match polarity {
+            Some(Polarity::Toggle) => toggled |= bit,
+            Some(_) => rise_fall |= bit,
+            None => {}
+        }
+        edges.push((bit, polarity));
+    }
+    let (mut declared, mut initial) = (0u64, 0u64);
+    for s in stg.signals() {
+        if let Some(v) = stg.initial_value(s) {
+            declared |= 1 << s.index();
+            initial |= u64::from(v) << s.index();
         }
     }
-    let has_toggle = stg
-        .transitions()
-        .any(|t| matches!(stg.edge_of(t).map(|e| e.polarity), Some(Polarity::Toggle)));
+    // The code bits the exploration key carries, as parities relative
+    // to the initial code; every other bit must be a function of the
+    // marking. A toggle-free STG carries none. With toggles, signals with
+    // a declared initial value ride along, free like toggle signals to
+    // take both values at one marking.
+    let tracked = if toggled == 0 { 0 } else { toggled | declared };
 
-    // Explore (marking-node, code) pairs. Markings are referenced by
-    // their node id in the already-explored reachability graph, so the
-    // frontier keys are plain `(u32, u64)` pairs — no marking clones.
-    let sp_encode = opts.span.span("bfs.encode");
+    let sp = opts.span.span("bfs.encode");
     let explored = sharded::explore(
-        (0u32, code0),
-        &ExploreOptions::new(opts.threads, opts.state_budget).with_span(sp_encode.ctx()),
-        |&(mnode, code), out: &mut Vec<(EventId, (u32, u64))>| {
-            for &(t, mtgt) in rg.successors(mnode) {
-                let next_code = match stg.edge_of(t) {
-                    None => code,
-                    Some(edge) => {
-                        let bit = 1u64 << edge.signal.index();
-                        let cur = code & bit != 0;
-                        let ok = match edge.polarity {
-                            Polarity::Rise => !cur,
-                            Polarity::Fall => cur,
-                            Polarity::Toggle => true,
-                        };
-                        if !ok {
-                            return Err(SgError::Inconsistent {
-                                signal: stg.signal(edge.signal).name.clone(),
-                                witness: format!(
-                                    "firing {} while {} is already {}",
-                                    stg.transition_name(t),
-                                    stg.signal(edge.signal).name,
-                                    cur as u8
-                                ),
-                            });
-                        }
-                        match edge.polarity {
-                            Polarity::Rise => code | bit,
-                            Polarity::Fall => code & !bit,
-                            Polarity::Toggle => code ^ bit,
-                        }
-                    }
-                };
-                out.push((EventId(t.0), (mtgt, next_code)));
+        (stg.initial_marking(), 0u64),
+        &ExploreOptions::new(opts.threads, opts.state_budget).with_span(sp.ctx()),
+        |(m, parity): &(Marking, u64), out: &mut Vec<(EventId, (Marking, u64))>| {
+            for t in m.enabled_transitions(net) {
+                let next = parity ^ (edges[t.index()].0 & tracked);
+                out.push((EventId(t.0), (m.fire(net, t)?, next)));
             }
             Ok(())
         },
-        |b| SgError::Petri(reshuffle_petri::PetriError::StateBudgetExceeded(b)),
+        |b| SgError::Petri(PetriError::StateBudgetExceeded(b)),
     )?;
-    sp_encode.end(&[
-        ("states", FieldVal::U64(explored.keys.len() as u64)),
-        ("arcs", FieldVal::U64(explored.num_arcs() as u64)),
+    let (n, num_arcs) = (explored.keys.len(), explored.num_arcs());
+    sp.end(&[
+        ("states", FieldVal::U64(n as u64)),
+        ("arcs", FieldVal::U64(num_arcs as u64)),
         (
             "peak_frontier",
             FieldVal::U64(explored.peak_frontier as u64),
         ),
     ]);
 
-    // Without toggles, a marking reached under two codes is inconsistent.
-    if !has_toggle {
-        let mut seen: HashMap<u32, u64> = HashMap::new();
-        for &(mnode, code) in &explored.keys {
-            if let Some(&other) = seen.get(&mnode) {
-                if other != code {
-                    let diff = other ^ code;
-                    let sig = SignalId::from_index(diff.trailing_zeros() as usize);
-                    return Err(SgError::Inconsistent {
-                        signal: stg.signal(sig).name.clone(),
-                        witness: format!(
-                            "marking {} is reachable with codes {code:b} and {other:b}",
-                            rg.marking(mnode).display(stg.net())
-                        ),
-                    });
-                }
-            } else {
-                seen.insert(mnode, code);
-            }
+    // Intern markings in order of first appearance (without toggles,
+    // every state has a marking of its own).
+    let marking_ids: Vec<u32> = if tracked == 0 {
+        (0..n as u32).collect()
+    } else {
+        let mut intern: HashMap<&Marking, u32> = HashMap::new();
+        let mut id_of = |m| {
+            let next = intern.len() as u32;
+            *intern.entry(m).or_insert(next)
+        };
+        explored.keys.iter().map(|(m, _)| id_of(m)).collect()
+    };
+    let mut markings: Vec<Marking> = Vec::new();
+    let mut parities: Vec<u64> = Vec::with_capacity(n);
+    for ((m, parity), &id) in explored.keys.into_iter().zip(&marking_ids) {
+        if id as usize == markings.len() {
+            markings.push(m);
         }
+        parities.push(parity);
     }
+    let mixed = toggled & rise_fall & !declared;
+    initial |= solve_mixed(stg, &edges, mixed, &marking_ids, &explored.succs)?;
+    let mut solved = declared | mixed;
 
-    // Assemble the CSR arrays directly: codes, flat arcs (already in
-    // ascending event order — reachability arcs fire transitions in id
-    // order), and markings interned by reachability node.
+    // One pass in canonical order: derive the untracked parity of each
+    // marking from the arc that first reaches it, solve rise/fall
+    // initial values from the arcs, reject every disagreement, and lay
+    // out the CSR arrays.
+    let mut untracked: Vec<u64> = Vec::with_capacity(markings.len());
+    untracked.push(0);
+    let mut succ_offsets = Vec::with_capacity(n + 1);
+    let mut arc_events = Vec::with_capacity(num_arcs);
+    let mut arc_targets = Vec::with_capacity(num_arcs);
+    succ_offsets.push(0);
+    for (s, arcs) in explored.succs.into_iter().enumerate() {
+        let parity = parities[s] | untracked[marking_ids[s] as usize];
+        for (e, t) in arcs {
+            let (flip, polarity) = edges[e.0 as usize];
+            if let Some(polarity @ (Polarity::Rise | Polarity::Fall)) = polarity {
+                // The initial value that lets the edge fire here: 0
+                // before a rise, 1 before a fall.
+                let fall = if polarity == Polarity::Fall { flip } else { 0 };
+                let need = (parity & flip) ^ fall;
+                if solved & flip == 0 {
+                    solved |= flip;
+                    initial |= need;
+                } else if initial & flip != need {
+                    let value = u8::from((initial ^ parity) & flip != 0);
+                    let name = stg.transition_name(TransitionId(e.0));
+                    return Err(inconsistent(stg, flip, |signal| {
+                        format!("firing {name} while {signal} is already {value}")
+                    }));
+                }
+            }
+            let (mid, next) = (marking_ids[t as usize] as usize, (parity ^ flip) & !tracked);
+            if mid == untracked.len() {
+                untracked.push(next);
+            } else if untracked[mid] != next {
+                let marking = markings[mid].display(net);
+                return Err(inconsistent(stg, untracked[mid] ^ next, |signal| {
+                    format!("marking {marking} is reachable with both values of {signal}")
+                }));
+            }
+            arc_events.push(e);
+            arc_targets.push(t);
+        }
+        succ_offsets.push(arc_events.len() as u32);
+    }
+    let codes = parities
+        .iter()
+        .zip(&marking_ids)
+        .map(|(parity, &mid)| initial ^ parity ^ untracked[mid as usize])
+        .collect();
+
     let events: Vec<EventInfo> = stg
         .transitions()
         .map(|t| EventInfo {
@@ -394,29 +289,6 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
             edge: stg.edge_of(t),
         })
         .collect();
-    let n = explored.keys.len();
-    let num_arcs = explored.num_arcs();
-    let mut codes = Vec::with_capacity(n);
-    let mut succ_offsets = Vec::with_capacity(n + 1);
-    let mut arc_events = Vec::with_capacity(num_arcs);
-    let mut arc_targets = Vec::with_capacity(num_arcs);
-    let mut marking_ids = Vec::with_capacity(n);
-    let mut markings: Vec<Marking> = Vec::new();
-    let mut intern: HashMap<u32, u32> = HashMap::new();
-    succ_offsets.push(0);
-    for (i, &(mnode, code)) in explored.keys.iter().enumerate() {
-        codes.push(code);
-        for &(e, t) in &explored.succs[i] {
-            arc_events.push(e);
-            arc_targets.push(t);
-        }
-        succ_offsets.push(arc_events.len() as u32);
-        let mid = *intern.entry(mnode).or_insert_with(|| {
-            markings.push(rg.marking(mnode).clone());
-            (markings.len() - 1) as u32
-        });
-        marking_ids.push(mid);
-    }
     let signals = (0..stg.num_signals())
         .map(|i| stg.signal(SignalId::from_index(i)).clone())
         .collect();
@@ -424,7 +296,7 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         states: n,
         arcs: num_arcs,
         interned_markings: markings.len(),
-        peak_frontier: rg.peak_frontier().max(explored.peak_frontier),
+        peak_frontier: explored.peak_frontier,
         threads: sharded::effective_threads(opts.threads),
     };
     let sg = StateGraph::from_csr(
@@ -442,12 +314,83 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
     Ok((sg, stats))
 }
 
-/// Re-derives event labels of an [`Stg`] for a state graph built from it
-/// (convenience used by tests and reports).
-pub fn event_label_map(stg: &Stg) -> Vec<String> {
-    stg.transitions()
-        .map(|t| stg.transition_name(t).to_string())
-        .collect()
+/// [`SgError::Inconsistent`] for the lowest signal in `bits`, with a
+/// witness built from its name.
+fn inconsistent(stg: &Stg, bits: u64, witness: impl FnOnce(&str) -> String) -> SgError {
+    let signal = &stg
+        .signal(SignalId::from_index(bits.trailing_zeros() as usize))
+        .name;
+    SgError::Inconsistent {
+        signal: signal.clone(),
+        witness: witness(signal),
+    }
+}
+
+/// Initial values of the signals in `mixed`: those with both toggle and
+/// rise/fall edges and no declared value. They keep the marking-level
+/// rule of constraint propagation: every arc that does not switch the
+/// signal joins its two markings into one class of equal value, `a+`
+/// fixes 0 at its source marking and 1 at its target, `a-` the reverse,
+/// and `a~` constrains nothing. The initial value is that of the
+/// initial marking's class, or 0 if nothing fixes it; the arc pass then
+/// checks it against every rise/fall edge.
+///
+/// # Errors
+///
+/// [`SgError::Inconsistent`] if one class must be both 0 and 1.
+fn solve_mixed(
+    stg: &Stg,
+    edges: &[(u64, Option<Polarity>)],
+    mixed: u64,
+    marking_ids: &[u32],
+    succs: &[Vec<(EventId, u32)>],
+) -> Result<u64> {
+    // Union-find root with path halving.
+    fn root(parent: &mut [u32], mut m: u32) -> usize {
+        while parent[m as usize] != m {
+            parent[m as usize] = parent[parent[m as usize] as usize];
+            m = parent[m as usize];
+        }
+        m as usize
+    }
+    let mut initial = 0u64;
+    for bit in (0..stg.num_signals()).map(|i| 1u64 << i) {
+        if mixed & bit == 0 {
+            continue;
+        }
+        let num_markings = marking_ids.iter().max().map_or(0, |&m| m + 1);
+        let mut parent: Vec<u32> = (0..num_markings).collect();
+        let mut value: Vec<Option<bool>> = vec![None; num_markings as usize];
+        for (s, arcs) in succs.iter().enumerate() {
+            for &(e, t) in arcs {
+                let src = root(&mut parent, marking_ids[s]);
+                let tgt = root(&mut parent, marking_ids[t as usize]);
+                let consistent = match edges[e.0 as usize] {
+                    (b, Some(Polarity::Toggle)) if b == bit => true,
+                    (b, Some(polarity)) if b == bit => {
+                        let (pre, post) = (polarity == Polarity::Fall, polarity == Polarity::Rise);
+                        *value[src].get_or_insert(pre) == pre
+                            && *value[tgt].get_or_insert(post) == post
+                    }
+                    _ => {
+                        let (a, b) = (value[src], value[tgt]);
+                        parent[tgt] = src as u32;
+                        value[src] = a.or(b);
+                        a.zip(b).map_or(true, |(a, b)| a == b)
+                    }
+                };
+                if !consistent {
+                    return Err(inconsistent(stg, bit, |signal| {
+                        format!("marking #{} requires {signal} = 0 and 1", marking_ids[s])
+                    }));
+                }
+            }
+        }
+        if value[root(&mut parent, 0)] == Some(true) {
+            initial |= bit;
+        }
+    }
+    Ok(initial)
 }
 
 #[cfg(test)]
@@ -599,11 +542,72 @@ b~ a~
     fn initial_value_inference_fig1() {
         // Req must be inferred high: Req- fires before any Req+.
         let stg = parse_g(FIG1).unwrap();
-        let rg = ReachabilityGraph::explore_default(stg.net(), &stg.initial_marking()).unwrap();
-        let vals = infer_initial_values(&stg, &rg).unwrap();
-        let req = stg.signal_by_name("Req").unwrap();
-        let ack = stg.signal_by_name("Ack").unwrap();
-        assert!(vals[req.index()]);
-        assert!(!vals[ack.index()]);
+        let sg = build_state_graph(&stg).unwrap();
+        let req = sg.signal_by_name("Req").unwrap();
+        let ack = sg.signal_by_name("Ack").unwrap();
+        assert!(sg.value(sg.initial(), req));
+        assert!(!sg.value(sg.initial(), ack));
+    }
+
+    /// The signal an inconsistent `.g` source is rejected for.
+    fn inconsistent_signal(stg: &Stg) -> String {
+        match build_state_graph(stg).unwrap_err() {
+            SgError::Inconsistent { signal, .. } => signal,
+            e => panic!("expected an inconsistency, got {e}"),
+        }
+    }
+
+    #[test]
+    fn declared_value_contradicted_by_a_rise() {
+        // a+ fires first, so a must start at 0; declaring 1 contradicts it.
+        let src = ".model fp\n.inputs a\n.outputs b\n.graph\n\
+                   a+ b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n.end\n";
+        let mut stg = parse_g(src).unwrap();
+        let a = stg.signal_by_name("a").unwrap();
+        stg.set_initial_value(a, true);
+        assert_eq!(inconsistent_signal(&stg), "a");
+        // Declaring the value the arcs imply changes nothing.
+        stg.set_initial_value(a, false);
+        let declared = build_state_graph(&stg).unwrap();
+        let inferred = build_state_graph(&parse_g(src).unwrap()).unwrap();
+        assert_eq!(format!("{declared:?}"), format!("{inferred:?}"));
+    }
+
+    #[test]
+    fn toggle_free_marking_under_two_codes() {
+        // p1 is reached by a+ or by the dummy, so a is 1 or 0 there, and
+        // no later edge of a tells the two apart.
+        let src = ".model two\n.inputs a b\n.dummy eps\n.graph\np0 a+ eps\na+ p1\n\
+                   eps p1\np1 b+\nb+ p2\np2 b-\nb- p1\n.marking { p0 }\n.end\n";
+        assert_eq!(inconsistent_signal(&parse_g(src).unwrap()), "a");
+    }
+
+    #[test]
+    fn toggle_spec_solves_its_rise_fall_signal() {
+        // a toggles once per lap, so the 3-marking cycle unfolds into 6
+        // states; b rises after a~ and starts at 0.
+        let src = ".model mix\n.inputs a\n.outputs b\n.graph\n\
+                   a~ b+\nb+ b-\nb- a~\n.marking { <b-,a~> }\n.end\n";
+        let stg = parse_g(src).unwrap();
+        for threads in [1, 4] {
+            let opts = BuildOptions {
+                threads,
+                ..Default::default()
+            };
+            let sg = build_state_graph_with(&stg, &opts).unwrap();
+            assert_eq!(sg.interned_markings().len(), 3);
+            // Bit 0 is a, bit 1 is b, states in canonical BFS order.
+            assert_eq!(sg.codes(), [0b00, 0b01, 0b11, 0b01, 0b00, 0b10]);
+        }
+    }
+
+    #[test]
+    fn mixed_edge_signal_keeps_marking_level_inference() {
+        // a- ends at the initial marking, fixing a = 0 there; then a~
+        // raises a and a+ fires while a is already 1. (A start at 1
+        // would fit every rise/fall arc, but not the marking rule.)
+        let src = ".model mixed\n.inputs a\n.graph\n\
+                   a~ a+\na+ a-\na- a~\n.marking { <a-,a~> }\n.end\n";
+        assert_eq!(inconsistent_signal(&parse_g(src).unwrap()), "a");
     }
 }

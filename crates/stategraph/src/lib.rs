@@ -5,7 +5,8 @@
 //! Synthesis and Optimization of Partially Specified Asynchronous
 //! Systems* (DAC 1999):
 //!
-//! * [`build_state_graph`] — reachability + consistent binary encoding;
+//! * [`build_state_graph`] — one reachability exploration with a
+//!   consistent binary encoding;
 //! * [`props`] — determinism, commutativity, output persistency
 //!   (together: speed independence);
 //! * [`csc`] — Unique/Complete State Coding conflict detection;
@@ -39,7 +40,6 @@
 mod build;
 pub mod conc;
 pub mod csc;
-pub mod dot;
 pub mod er;
 mod error;
 pub mod nextstate;
@@ -48,8 +48,7 @@ pub mod restrict;
 mod sg;
 
 pub use build::{
-    build_state_graph, build_state_graph_stats, build_state_graph_with, event_label_map,
-    BuildOptions, BuildStats,
+    build_state_graph, build_state_graph_stats, build_state_graph_with, BuildOptions, BuildStats,
 };
 pub use error::{Result, SgError};
 pub use sg::{Arcs, ArcsIter, EventId, EventInfo, MarkingId, State, StateGraph, StateId};

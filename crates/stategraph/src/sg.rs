@@ -599,23 +599,6 @@ impl StateGraph {
         order
     }
 
-    /// The set of states reachable from the initial state.
-    pub fn reachable_from_initial(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.num_states()];
-        let mut q = VecDeque::new();
-        q.push_back(self.initial);
-        seen[self.initial as usize] = true;
-        while let Some(s) = q.pop_front() {
-            for &t in self.succ(s).targets() {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    q.push_back(t);
-                }
-            }
-        }
-        seen
-    }
-
     /// Builds a new graph keeping only states marked `true` in `keep`
     /// and only arcs accepted by `keep_arc(src, event, dst)`. States are
     /// renumbered densely; the initial state must be kept. Interned

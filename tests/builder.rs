@@ -1,22 +1,17 @@
-//! Corpus-wide equivalence of the stage-typed `Pipeline` builder with
-//! the legacy free functions: for every example in
-//! `reshuffle_bench::examples` and every pipeline mode the golden
-//! suite pins, the builder — driven stage by stage *and* through the
-//! `run()` shortcut — must produce a byte-identical netlist, identical
-//! artifacts (inserted signals, serializing moves, expansion choices),
-//! and the identical golden-pin row; failures must carry the identical
-//! error message.
-//!
-//! This suite pins the deprecated wrappers' behavior, so it is the one
-//! place outside the facade allowed to call them.
-#![allow(deprecated)]
+//! Corpus-wide equivalence of the two ways to drive the `Pipeline`
+//! builder: for every example in `reshuffle_bench::examples` and every
+//! pipeline mode the golden suite pins, the builder driven stage by
+//! stage must reproduce the `run()` shortcut — a byte-identical
+//! netlist, identical artifacts (inserted signals, serializing moves,
+//! expansion choices), and the identical golden-pin row; failures must
+//! carry the identical error message.
 
 mod common;
 
 use common::golden_line;
 use reshuffle::{
-    synthesize_with, Diagnostics, ExpansionOptions, Pipeline, PipelineError, PipelineOptions,
-    ReduceOptions, Stage, Synthesis,
+    Diagnostics, ExpansionOptions, Pipeline, PipelineError, PipelineOptions, ReduceOptions, Stage,
+    Synthesis,
 };
 use reshuffle_bench::examples;
 
@@ -72,15 +67,15 @@ fn assert_same(
     name: &str,
     mode: &str,
     what: &str,
-    legacy: &Result<Synthesis, PipelineError>,
+    reference: &Result<Synthesis, PipelineError>,
     other: &Result<Synthesis, PipelineError>,
 ) {
     assert_eq!(
-        golden_line(name, mode, legacy),
+        golden_line(name, mode, reference),
         golden_line(name, mode, other),
-        "{name}/{mode}: {what} drifted from the legacy pipeline"
+        "{name}/{mode}: {what} drifted from run()"
     );
-    if let (Ok(a), Ok(b)) = (legacy, other) {
+    if let (Ok(a), Ok(b)) = (reference, other) {
         assert_eq!(
             a.netlist.describe(),
             b.netlist.describe(),
@@ -112,13 +107,11 @@ fn assert_same(
 fn builder_matches_legacy_across_the_corpus() {
     for (name, src) in examples::ALL {
         for (mode, opts) in modes() {
-            let legacy = synthesize_with(src, &opts);
             let via_run = Pipeline::from_g(src)
                 .and_then(|p| p.run(&opts))
                 .map(|done| done.into_synthesis());
-            assert_same(name, mode, "run()", &legacy, &via_run);
             let via_stages = staged(src, &opts).map(|(s, _)| s);
-            assert_same(name, mode, "staged chain", &legacy, &via_stages);
+            assert_same(name, mode, "staged chain", &via_run, &via_stages);
         }
     }
 }
