@@ -740,9 +740,34 @@ Go- Req~
             "stage.resolve",
             "stage.synthesize",
             "bfs.encode",
+            "synth.verify",
+            "synth.rank",
         ] {
             assert!(has(name), "missing span {name} in {lines:#?}");
         }
+        // The synthesize layers are children of the stage span.
+        let field = |name: &str, key: &str| -> String {
+            let line = lines
+                .iter()
+                .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
+                .unwrap();
+            let rest = &line[line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3..];
+            rest[..rest.find(',').unwrap()].to_string()
+        };
+        let stage = field("stage.synthesize", "span");
+        for name in ["synth.verify", "synth.rank"] {
+            assert_eq!(
+                field(name, "parent"),
+                stage,
+                "{name} is not under stage.synthesize"
+            );
+        }
+        // One live candidate: the winner is known, nothing is estimated.
+        assert!(
+            lines.iter().any(|l| l.contains("\"name\":\"synth.rank\"")
+                && l.contains("\"ranked\":1,\"estimated\":0")),
+            "{lines:#?}"
+        );
 
         // A cache hit under tracing emits the lookup span.
         let cache = SynthCache::new();

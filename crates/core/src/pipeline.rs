@@ -27,7 +27,7 @@ use reshuffle_sg::props::speed_independence;
 use reshuffle_sg::{build_state_graph_stats, BuildOptions, StateGraph};
 use reshuffle_synth::{
     literal_estimate, resolve_csc_analyzed, synthesize_complex_gates, synthesize_gc,
-    verify_against_sg, CscOptions, Netlist,
+    verify_against_sg, CscOptions, Netlist, SignalFunction,
 };
 use reshuffle_timing::{simulate, DelayModel, SimOptions};
 
@@ -418,9 +418,11 @@ impl Parsed {
 
     /// Attaches a trace context: every subsequent stage transition
     /// emits a `stage.*` span under it, state-graph builds emit a
-    /// `bfs.encode` child span, and cache consultations emit
-    /// `cache.lookup` spans. Tracing is observation only — it never
-    /// changes what the pipeline produces.
+    /// `bfs.encode` child span, the synthesize stage emits
+    /// `synth.verify` (per verified candidate) and `synth.rank` child
+    /// spans, and cache consultations emit `cache.lookup` spans.
+    /// Tracing is observation only — it never changes what the
+    /// pipeline produces.
     pub fn with_trace(mut self, span: SpanCtx) -> Parsed {
         self.ctx.span = span;
         self
@@ -944,6 +946,7 @@ impl Resolved {
             return Ok(hit);
         }
         let sp = self.ctx.span.span("stage.synthesize");
+        let stage_span = sp.ctx();
         let selecting = self.ctx.selecting;
         let (input_delay, gate_delay) = self.ctx.delays;
         // With several expansion candidates in flight, each one's
@@ -980,15 +983,24 @@ impl Resolved {
                     // ordering choices.
                     synthesis.expansion = c.choices;
                     let cycle_bits = cycle_of(&synthesis)?;
-                    return Ok((synthesis, cycle_bits));
+                    return Ok((synthesis, cycle_bits, None));
                 }
             }
-            let netlist = match style {
-                ImplStyle::ComplexGate => synthesize_complex_gates(&c.sg)?.netlist,
-                ImplStyle::GeneralizedC => synthesize_gc(&c.sg)?.netlist,
+            // A complex-gate derivation under `Reject` has no
+            // conflicting codes, so its literal sum is exactly the
+            // `literal_estimate` the ranking would otherwise recompute.
+            let (netlist, literals) = match style {
+                ImplStyle::ComplexGate => {
+                    let imp = synthesize_complex_gates(&c.sg)?;
+                    let literals = imp.functions.iter().map(SignalFunction::literals).sum();
+                    (imp.netlist, Some(literals))
+                }
+                ImplStyle::GeneralizedC => (synthesize_gc(&c.sg)?.netlist, None),
             };
             if verify {
+                let vsp = stage_span.span("synth.verify");
                 verify_against_sg(&c.sg, &netlist)?;
+                vsp.end(&[("states", FieldVal::U64(c.sg.num_states() as u64))]);
             }
             let synthesis = Synthesis {
                 stg: c.stg,
@@ -1006,7 +1018,7 @@ impl Resolved {
                 stored.expansion = Vec::new();
                 cache.insert(cand_key, stored);
             }
-            Ok((synthesis, cycle_bits))
+            Ok((synthesis, cycle_bits, literals))
         });
         self.ctx.diag.shared_candidate_hits +=
             shared_hits.load(std::sync::atomic::Ordering::Relaxed);
@@ -1014,20 +1026,37 @@ impl Resolved {
 
         // The ranked selection: (state signals inserted, literal
         // estimate, timed cycle bits, enumeration index), strictly
-        // improving so the earliest candidate wins ties.
+        // improving so the earliest candidate wins ties. A lone live
+        // candidate wins without a score; otherwise the literal
+        // estimate is recomputed only where synthesis did not derive it
+        // (gC netlists and shared-cache hits).
+        let rsp = stage_span.span("synth.rank");
+        let ranked = outcomes.iter().filter(|o| o.is_ok()).count();
+        let mut estimated = 0u64;
         let mut best: Option<((usize, u32, u64, usize), usize)> = None;
         for (i, outcome) in outcomes.iter().enumerate() {
-            let Ok((s, cycle_bits)) = outcome else {
+            let Ok((s, cycle_bits, literals)) = outcome else {
                 continue;
             };
-            let score = (s.inserted.len(), literal_estimate(&s.sg), *cycle_bits, i);
+            let literals = match literals {
+                _ if ranked == 1 => 0,
+                Some(l) => *l,
+                None => {
+                    estimated += 1;
+                    literal_estimate(&s.sg)
+                }
+            };
+            let score = (s.inserted.len(), literals, *cycle_bits, i);
             if !matches!(best, Some((b, _)) if b <= score) {
                 best = Some((score, i));
             }
         }
+        rsp.end(&[
+            ("ranked", FieldVal::U64(ranked as u64)),
+            ("estimated", FieldVal::U64(estimated)),
+        ]);
         let (_, winner) = best.expect("enforce_live guarantees a live candidate");
-        let ranked = outcomes.iter().filter(|o| o.is_ok()).count();
-        let (synthesis, _) = outcomes
+        let (synthesis, _, _) = outcomes
             .into_iter()
             .nth(winner)
             .expect("winner index in range")

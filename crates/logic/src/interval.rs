@@ -20,24 +20,23 @@ use crate::cube::Cube;
 /// and off-set `off_codes` (everything else don't-care) over `num_vars`
 /// variables. The two code lists must be disjoint.
 ///
-/// Returns a prime, irredundant cover `f` with `on ⊆ f ⊆ ¬off`, plus
-/// the [`Bdd`] artifacts so callers can run further checks against the
-/// same diagrams.
+/// Returns a prime, irredundant cover `f` with `on ⊆ f ⊆ ¬off`.
 pub fn minimize_codes(num_vars: usize, on_codes: &[u64], off_codes: &[u64]) -> Cover {
-    let (cover, _bdd) = minimize_codes_with_bdd(num_vars, on_codes, off_codes);
-    cover
+    let reach: Vec<u64> = on_codes.iter().chain(off_codes).copied().collect();
+    let dc_cubes = unreached_cubes(num_vars, &reach);
+    minimize_codes_with_dc(num_vars, on_codes, off_codes, &dc_cubes)
 }
 
-/// Artifacts of a [`minimize_codes`] run: the manager plus the on/off
-/// diagrams, for callers that want to verify against them.
-#[derive(Debug)]
-pub struct IntervalArtifacts {
-    /// The BDD manager holding both diagrams.
-    pub bdd: Bdd,
-    /// Characteristic function of the on-set.
-    pub on: NodeRef,
-    /// Characteristic function of the off-set.
-    pub off: NodeRef,
+/// The exact cube cover of every code *not* in `reach_codes` over
+/// `num_vars` variables (`¬reach` by ISOP with lower = upper). All
+/// conflict-free next-state functions of one state graph share this
+/// don't-care set, so a caller minimizing several of them computes it
+/// once and hands it to [`minimize_codes_with_dc`].
+pub fn unreached_cubes(num_vars: usize, reach_codes: &[u64]) -> Vec<Cube> {
+    let mut bdd = Bdd::new();
+    let reach = bdd.from_codes(reach_codes, num_vars);
+    let dc = bdd.not(reach);
+    bdd.isop(dc, dc).1
 }
 
 /// When the exact on/dc covers extracted from the diagrams stay under
@@ -46,33 +45,33 @@ pub struct IntervalArtifacts {
 /// locally instead (prime + irredundant, but no REDUCE restarts).
 const ESPRESSO_HANDOFF_CUBES: usize = 4096;
 
-/// [`minimize_codes`], also returning the diagrams it built.
-pub fn minimize_codes_with_bdd(
+/// [`minimize_codes`] with its don't-care cubes supplied: `dc_cubes`
+/// must be [`unreached_cubes`] of `on_codes ∪ off_codes`. Because an
+/// ISOP depends only on the function, the cover is identical to the one
+/// [`minimize_codes`] returns.
+pub fn minimize_codes_with_dc(
     num_vars: usize,
     on_codes: &[u64],
     off_codes: &[u64],
-) -> (Cover, IntervalArtifacts) {
+    dc_cubes: &[Cube],
+) -> Cover {
     let mut bdd = Bdd::new();
     let on = bdd.from_codes(on_codes, num_vars);
-    let off = bdd.from_codes(off_codes, num_vars);
-    debug_assert_eq!(bdd.and(on, off), FALSE, "on/off sets must be disjoint");
     // Exact cube covers of the on- and don't-care sets, extracted from
     // the diagrams (lower = upper makes the ISOP exact). These compress
     // a million minterms into the handful of cubes the structure really
     // has, which the cube-list espresso loop then minimizes exactly as
     // it would have minimized the raw minterm lists — only feasibly so.
     let (_, on_cubes) = bdd.isop(on, on);
-    let reach = bdd.or(on, off);
-    let dc = bdd.not(reach);
-    let (_, dc_cubes) = bdd.isop(dc, dc);
     let cover = if on_cubes.len() + dc_cubes.len() <= ESPRESSO_HANDOFF_CUBES {
         let on_cover = Cover::from_cubes(num_vars, on_cubes);
-        let dc_cover = Cover::from_cubes(num_vars, dc_cubes);
+        let dc_cover = Cover::from_cubes(num_vars, dc_cubes.iter().copied());
         crate::espresso::minimize(&on_cover, &dc_cover)
     } else {
         // Safety valve: even the exact covers are huge. Take the
         // interval ISOP (irredundant by construction) and polish it to
         // primes against the off-set diagram.
+        let off = bdd.from_codes(off_codes, num_vars);
         let upper = bdd.not(off);
         let (_f, cubes) = bdd.isop(on, upper);
         let mut cover = Cover::from_cubes(num_vars, expand_cubes(&bdd, off, cubes));
@@ -81,11 +80,12 @@ pub fn minimize_codes_with_bdd(
         cover
     };
     debug_assert!({
+        let off = bdd.from_codes(off_codes, num_vars);
         let f = bdd.from_cover(&cover);
         let nf = bdd.not(f);
-        bdd.and(on, nf) == FALSE && bdd.and(f, off) == FALSE
+        bdd.and(on, off) == FALSE && bdd.and(on, nf) == FALSE && bdd.and(f, off) == FALSE
     });
-    (cover, IntervalArtifacts { bdd, on, off })
+    cover
 }
 
 /// EXPAND against the off-set diagram: greedily raise literals while the
@@ -209,6 +209,20 @@ mod tests {
         let f = minimize_codes(4, &[3], &[]);
         assert_eq!(f.len(), 1);
         assert!(f.cubes()[0].is_top(), "everything else is dc: {f}");
+    }
+
+    #[test]
+    fn unreached_cubes_cover_exactly_the_unreached_codes() {
+        // Unsorted, duplicated input; the cover is exact either way.
+        let reach = [0b1011u64, 0b0001, 0b1011, 0b0110, 0b1111, 0b0000];
+        let dc = Cover::from_cubes(4, unreached_cubes(4, &reach));
+        for m in 0..16u64 {
+            assert_eq!(dc.covers_point(m), !reach.contains(&m), "code {m:04b}");
+        }
+        let on = [0b1011u64, 0b0110];
+        let off = [0b0001u64, 0b1111, 0b0000];
+        let shared = minimize_codes_with_dc(4, &on, &off, dc.cubes());
+        assert_eq!(shared, minimize_codes(4, &on, &off));
     }
 
     #[test]

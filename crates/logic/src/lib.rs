@@ -52,5 +52,5 @@ pub use cover::Cover;
 pub use cube::{mask, Cube, MAX_VARS};
 pub use espresso::{cost, minimize, verify_minimized, Cost};
 pub use factor::{factor, sop_expr, Expr};
-pub use interval::{minimize_codes, minimize_codes_with_bdd};
+pub use interval::{minimize_codes, minimize_codes_with_dc, unreached_cubes};
 pub use qm::{exact_minimize, prime_implicants};

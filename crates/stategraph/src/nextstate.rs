@@ -53,38 +53,64 @@ pub fn implied_value(sg: &StateGraph, s: crate::sg::StateId, sig: SignalId) -> b
     }
 }
 
+/// The implied next value of every signal in state `s` at once: bit
+/// `i` equals [`implied_value`]`(sg, s, i)`. One pass over the state's
+/// arcs collects the excited rising and falling signals.
+pub fn implied_code(sg: &StateGraph, s: crate::sg::StateId) -> u64 {
+    let (mut rise, mut fall) = (0u64, 0u64);
+    for &ev in sg.succ(s).events() {
+        if let Some(edge) = sg.event(ev).edge {
+            match edge.polarity {
+                Polarity::Rise => rise |= 1 << edge.signal.index(),
+                Polarity::Fall => fall |= 1 << edge.signal.index(),
+                Polarity::Toggle => {}
+            }
+        }
+    }
+    let code = sg.code(s);
+    (code & !fall) | (!code & rise)
+}
+
 /// Builds the next-state table for one signal.
 pub fn next_state_table(sg: &StateGraph, sig: SignalId) -> NextStateTable {
-    let mut on = Vec::new();
-    let mut off = Vec::new();
+    let mut ons = Vec::new();
+    let mut offs = Vec::new();
     for s in sg.state_ids() {
         let code = sg.code(s);
         if implied_value(sg, s, sig) {
-            on.push(code);
+            ons.push(code);
         } else {
-            off.push(code);
+            offs.push(code);
         }
     }
-    on.sort_unstable();
-    on.dedup();
-    off.sort_unstable();
-    off.dedup();
-    // Conflicts: codes in both.
+    ons.sort_unstable();
+    ons.dedup();
+    offs.sort_unstable();
+    offs.dedup();
+    // One merge splits the codes in both lists out as conflicts.
+    let mut on = Vec::with_capacity(ons.len());
+    let mut off = Vec::with_capacity(offs.len());
     let mut conflicting = Vec::new();
     let (mut i, mut j) = (0, 0);
-    while i < on.len() && j < off.len() {
-        match on[i].cmp(&off[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+    while i < ons.len() && j < offs.len() {
+        match ons[i].cmp(&offs[j]) {
+            std::cmp::Ordering::Less => {
+                on.push(ons[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                off.push(offs[j]);
+                j += 1;
+            }
             std::cmp::Ordering::Equal => {
-                conflicting.push(on[i]);
+                conflicting.push(ons[i]);
                 i += 1;
                 j += 1;
             }
         }
     }
-    on.retain(|c| !conflicting.contains(c));
-    off.retain(|c| !conflicting.contains(c));
+    on.extend_from_slice(&ons[i..]);
+    off.extend_from_slice(&offs[j..]);
     NextStateTable {
         signal: sig,
         on,
@@ -149,6 +175,33 @@ b- a1+ a2+
     }
 
     #[test]
+    fn implied_code_matches_implied_value_bitwise() {
+        let src = "\
+.model celem
+.inputs a1 a2
+.outputs b
+.graph
+a1+ b+
+a2+ b+
+b+ a1- a2-
+a1- b-
+a2- b-
+b- a1+ a2+
+.marking { <b-,a1+> <b-,a2+> }
+.end
+";
+        let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
+        for s in sg.state_ids() {
+            let code = implied_code(&sg, s);
+            for i in 0..sg.num_signals() {
+                let v = implied_value(&sg, s, SignalId::from_index(i));
+                assert_eq!((code >> i) & 1 == 1, v, "state {s} signal {i}");
+            }
+            assert_eq!(code >> sg.num_signals(), 0);
+        }
+    }
+
+    #[test]
     fn conflicting_codes_detected() {
         const FIG1: &str = "\
 .model fig1
@@ -168,6 +221,11 @@ Req+ Ack+
         // States 11* and 1*1 share a code but imply Ack=1 and Ack=0.
         assert_eq!(t.conflicting.len(), 1);
         assert!(!t.is_conflict_free());
+        // The conflict is split out of both lists, which stay sorted.
+        let c = t.conflicting[0];
+        assert!(!t.on.contains(&c) && !t.off.contains(&c), "{t:?}");
+        assert!(t.on.windows(2).all(|w| w[0] < w[1]), "{t:?}");
+        assert!(t.off.windows(2).all(|w| w[0] < w[1]), "{t:?}");
     }
 
     #[test]

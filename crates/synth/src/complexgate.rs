@@ -17,7 +17,9 @@ use crate::netlist::Netlist;
 pub struct ComplexGateImpl {
     /// The mapped netlist.
     pub netlist: Netlist,
-    /// The per-signal minimized functions (for reports).
+    /// The per-signal minimized functions. Derived without conflicting
+    /// codes, so their literal sum equals [`crate::literal_estimate`]
+    /// of the graph.
     pub functions: Vec<SignalFunction>,
 }
 

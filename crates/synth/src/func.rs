@@ -1,6 +1,10 @@
 //! Deriving minimized next-state functions from a state graph.
 
-use reshuffle_logic::{complement, minimize, minimize_codes, Cover};
+use std::cell::OnceCell;
+
+use reshuffle_logic::{
+    complement, minimize, minimize_codes, minimize_codes_with_dc, unreached_cubes, Cover, Cube,
+};
 use reshuffle_petri::SignalId;
 use reshuffle_sg::nextstate::{next_state_table, NextStateTable};
 use reshuffle_sg::StateGraph;
@@ -66,6 +70,18 @@ pub fn derive_function(
     signal: SignalId,
     policy: ConflictPolicy,
 ) -> Result<SignalFunction> {
+    derive_with(sg, signal, policy, &OnceCell::new())
+}
+
+/// [`derive_function`] with the BDD path's unreached-code cubes held in
+/// `unreached`, computed on first use: every conflict-free table of one
+/// state graph has the same reachable codes, so they share one cover.
+fn derive_with(
+    sg: &StateGraph,
+    signal: SignalId,
+    policy: ConflictPolicy,
+    unreached: &OnceCell<Vec<Cube>>,
+) -> Result<SignalFunction> {
     let table = next_state_table(sg, signal);
     if !table.conflicting.is_empty() && policy == ConflictPolicy::Reject {
         return Err(SynthError::CscViolation {
@@ -81,11 +97,15 @@ pub fn derive_function(
         // dc = everything not in on or off (unreachable codes + conflicts).
         let dc = complement(&on.or(&off));
         minimize(&on, &dc)
-    } else {
+    } else if table.is_conflict_free() {
         // Million-state tables: same contract (on ⊆ f ⊆ on ∪ dc),
         // derived through BDDs so the cost does not explode with the
-        // state count. Conflicting codes are in neither list, i.e.
-        // don't-care — identical to the cube-list path above.
+        // state count. Here on ∪ off is every reachable code.
+        let dc = unreached.get_or_init(|| unreached_cubes(nv, sg.codes()));
+        minimize_codes_with_dc(nv, &table.on, &table.off, dc)
+    } else {
+        // Conflicting codes are in neither list, i.e. don't-care —
+        // identical to the cube-list path above.
         minimize_codes(nv, &table.on, &table.off)
     };
     Ok(SignalFunction {
@@ -105,11 +125,12 @@ pub fn derive_all_functions(
     sg: &StateGraph,
     policy: ConflictPolicy,
 ) -> Result<Vec<SignalFunction>> {
+    let unreached = OnceCell::new();
     let mut out = Vec::new();
     for i in 0..sg.num_signals() {
         let s = SignalId::from_index(i);
         if sg.signal(s).kind.is_noninput() {
-            out.push(derive_function(sg, s, policy)?);
+            out.push(derive_with(sg, s, policy, &unreached)?);
         }
     }
     Ok(out)

@@ -6,7 +6,6 @@
 //! ([`Node::GcLatch`]), or implicitly from combinational feedback
 //! (a complex gate whose function depends on its own output).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use reshuffle_petri::{Signal, SignalId, SignalKind};
@@ -73,11 +72,26 @@ impl Netlist {
     }
 
     /// Adds a node and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// If a gate's operand count does not match its arity, or an
+    /// operand is not already in the table (which keeps the table in
+    /// topological order).
     pub fn add(&mut self, node: Node) -> NodeId {
-        if let Node::Gate(g, ins) = &node {
-            assert_eq!(g.arity(), ins.len(), "gate arity mismatch");
-        }
         let id = NodeId(self.nodes.len() as u32);
+        let operands: &[NodeId] = match &node {
+            Node::Gate(g, ins) => {
+                assert_eq!(g.arity(), ins.len(), "gate arity mismatch");
+                ins
+            }
+            Node::GcLatch { set, reset, .. } => &[*set, *reset],
+            Node::SignalRef(_) | Node::Const(_) => &[],
+        };
+        assert!(
+            operands.iter().all(|o| o.0 < id.0),
+            "operand added after its user"
+        );
         self.nodes.push(node);
         id
     }
@@ -144,63 +158,52 @@ impl Netlist {
     }
 
     /// Evaluates the next value of every signal given the current code
-    /// (bit i = value of signal i). Inputs keep their current value.
+    /// (bit i = value of signal i). Inputs and undriven signals keep
+    /// their current value.
     pub fn next_code(&self, code: u64) -> u64 {
-        let mut memo: HashMap<NodeId, bool> = HashMap::new();
+        let cur: Vec<u64> = (0..self.signals.len()).map(|i| (code >> i) & 1).collect();
+        let mut vals = Vec::with_capacity(self.nodes.len());
+        self.eval_lanes(&cur, &mut vals);
         let mut next = code;
         for (i, d) in self.drivers.iter().enumerate() {
             if let Some(n) = d {
-                let v = self.eval_node(*n, code, &mut memo);
-                if v {
-                    next |= 1 << i;
-                } else {
-                    next &= !(1 << i);
-                }
+                next = (next & !(1 << i)) | ((vals[n.0 as usize] & 1) << i);
             }
         }
         next
     }
 
-    /// Evaluates a single node under the current code.
-    pub fn eval_node(&self, n: NodeId, code: u64, memo: &mut HashMap<NodeId, bool>) -> bool {
-        if let Some(&v) = memo.get(&n) {
-            return v;
-        }
-        let v = match &self.nodes[n.0 as usize] {
-            Node::SignalRef(s) => (code >> s.index()) & 1 == 1,
-            Node::Const(b) => *b,
-            Node::Gate(g, ins) => {
-                let vals: Vec<bool> = ins.iter().map(|&i| self.eval_node(i, code, memo)).collect();
-                match g {
-                    GateType::Inv => !vals[0],
-                    GateType::And2 => vals[0] && vals[1],
-                    GateType::Or2 => vals[0] || vals[1],
-                    GateType::C2 => {
-                        // C-element: all-1 sets, all-0 resets, else hold.
-                        // As a plain node it has no hold state; C2 is
-                        // only created by the mapper as a *driver* whose
-                        // hold value is the driven signal, encoded via
-                        // GcLatch. Standalone C2 treats equal inputs as
-                        // the output, else... conservatively AND (the
-                        // mapper never emits standalone C2).
-                        vals[0] && vals[1]
+    /// Evaluates every node on 64 codes at once, one code per bit lane:
+    /// `cur[i]` carries the current value of signal `i` in each lane,
+    /// and on return `vals[n]` carries node `n`'s value in each lane.
+    ///
+    /// One forward sweep suffices because [`Netlist::add`] only accepts
+    /// operands that are already in the table, so node order is a
+    /// topological order.
+    pub(crate) fn eval_lanes(&self, cur: &[u64], vals: &mut Vec<u64>) {
+        vals.clear();
+        for node in &self.nodes {
+            let v = match node {
+                Node::SignalRef(s) => cur[s.index()],
+                Node::Const(b) => 0u64.wrapping_sub(u64::from(*b)),
+                Node::Gate(g, ins) => {
+                    let a = vals[ins[0].0 as usize];
+                    match g {
+                        GateType::Inv => !a,
+                        GateType::Or2 => a | vals[ins[1].0 as usize],
+                        // The mapper never emits a standalone C2 (a
+                        // C-element's hold state is a `GcLatch`); as a
+                        // plain node it evaluates as AND.
+                        GateType::And2 | GateType::C2 => a & vals[ins[1].0 as usize],
                     }
                 }
-            }
-            Node::GcLatch { set, reset, holds } => {
-                let s = self.eval_node(*set, code, memo);
-                let r = self.eval_node(*reset, code, memo);
-                if s {
-                    true
-                } else if r {
-                    false
-                } else {
-                    (code >> holds.index()) & 1 == 1
+                // Rises on set, falls on reset, otherwise holds.
+                Node::GcLatch { set, reset, holds } => {
+                    vals[set.0 as usize] | (!vals[reset.0 as usize] & cur[holds.index()])
                 }
-            }
-        };
-        memo.insert(n, v);
-        v
+            };
+            vals.push(v);
+        }
     }
 
     /// Depth (in gates) of the network driving signal `s`; wires are 0.
@@ -359,6 +362,37 @@ mod tests {
         // Latch depth includes its networks.
         assert_eq!(nl.depth(SignalId(1)), 2);
         assert!(nl.network_delay(SignalId(1), &lib) > lib.seq_delay);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand added after its user")]
+    fn operands_must_precede_their_user() {
+        let mut nl = Netlist::new(two_signal_table());
+        nl.add(Node::Gate(GateType::Inv, vec![NodeId(0)]));
+    }
+
+    #[test]
+    fn lanes_evaluate_independently() {
+        // b = gC(set = a, reset = a'), evaluated on all four codes at
+        // once: lane l carries code l.
+        let mut nl = Netlist::new(two_signal_table());
+        let a_ref = nl.add(Node::SignalRef(SignalId(0)));
+        let na = nl.add(Node::Gate(GateType::Inv, vec![a_ref]));
+        let one = nl.add(Node::Const(true));
+        let and = nl.add(Node::Gate(GateType::And2, vec![na, one]));
+        let latch = nl.add(Node::GcLatch {
+            set: a_ref,
+            reset: and,
+            holds: SignalId(1),
+        });
+        nl.set_driver(SignalId(1), latch).unwrap();
+        let cur = [0b1010u64, 0b1100];
+        let mut vals = Vec::new();
+        nl.eval_lanes(&cur, &mut vals);
+        for code in 0..4u64 {
+            let lane = (vals[latch.0 as usize] >> code) & 1;
+            assert_eq!(lane, (nl.next_code(code) >> 1) & 1, "code {code:02b}");
+        }
     }
 
     #[test]

@@ -5,10 +5,16 @@
 //! the next value computed by each signal's network equals the implied
 //! value of that signal (rise-excited ⇒ 1, fall-excited ⇒ 0, stable ⇒
 //! current value). This catches minimizer, factoring and mapping bugs.
+//!
+//! Every reachable state and every driven non-input signal is checked.
+//! The check runs 64 states per machine word: each state's implied code
+//! comes from one pass over its arcs ([`implied_code`]), and the
+//! netlist is evaluated on a whole block of states by one forward sweep
+//! of its node table.
 
 use reshuffle_petri::{SignalId, SignalKind};
-use reshuffle_sg::nextstate::implied_value;
-use reshuffle_sg::StateGraph;
+use reshuffle_sg::nextstate::implied_code;
+use reshuffle_sg::{StateGraph, StateId};
 
 use crate::error::{Result, SynthError};
 use crate::netlist::Netlist;
@@ -28,30 +34,73 @@ pub struct Mismatch {
 
 /// Checks the netlist against every reachable state of the graph.
 ///
-/// Returns all mismatches (empty = correct).
+/// Returns all mismatches (empty = correct), ordered by state and then
+/// by signal index.
 pub fn check_against_sg(sg: &StateGraph, netlist: &Netlist) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    for s in sg.state_ids() {
-        let code = sg.code(s);
-        let next = netlist.next_code(code);
-        for i in 0..sg.num_signals() {
+    check_blocks(sg, netlist, false)
+}
+
+/// The bit-parallel checker: states are taken 64 at a time, each
+/// signal's current and implied values for the block are transposed
+/// into one `u64` word (lane `l` = state `base + l`), and the netlist is
+/// evaluated on the whole block by one sweep of its node table. With
+/// `first_block_only`, stops after the first block that has a mismatch.
+fn check_blocks(sg: &StateGraph, netlist: &Netlist, first_block_only: bool) -> Vec<Mismatch> {
+    let n = sg.num_signals();
+    // (signal index, driving node) of every driven non-input signal:
+    // the signals a netlist value is checked for.
+    let checked: Vec<(usize, usize)> = (0..n)
+        .filter_map(|i| {
             let sig = SignalId::from_index(i);
-            if sg.signal(sig).kind == SignalKind::Input {
-                continue;
+            match netlist.driver(sig) {
+                Some(d) if sg.signal(sig).kind != SignalKind::Input => Some((i, d.0 as usize)),
+                _ => None,
             }
-            if netlist.driver(sig).is_none() {
-                continue;
+        })
+        .collect();
+    let mut out = Vec::new();
+    let (mut cur, mut implied) = (vec![0u64; n], vec![0u64; n]);
+    let mut vals = Vec::with_capacity(netlist.nodes().len());
+    let mut diffs = vec![0u64; checked.len()];
+    let num_states = sg.num_states();
+    for base in (0..num_states).step_by(64) {
+        let lanes = (num_states - base).min(64);
+        cur.fill(0);
+        implied.fill(0);
+        for lane in 0..lanes {
+            let s = (base + lane) as StateId;
+            let (code, next) = (sg.code(s), implied_code(sg, s));
+            for i in 0..n {
+                cur[i] |= ((code >> i) & 1) << lane;
+                implied[i] |= ((next >> i) & 1) << lane;
             }
-            let expected = implied_value(sg, s, sig);
-            let got = (next >> i) & 1 == 1;
-            if expected != got {
-                out.push(Mismatch {
-                    state: s,
-                    signal: sg.signal(sig).name.clone(),
-                    expected,
-                    got,
-                });
+        }
+        netlist.eval_lanes(&cur, &mut vals);
+        // Lanes past the last state carry code 0; mask them out.
+        let live = u64::MAX >> (64 - lanes);
+        let mut any = 0;
+        for (diff, &(i, node)) in diffs.iter_mut().zip(&checked) {
+            *diff = (vals[node] ^ implied[i]) & live;
+            any |= *diff;
+        }
+        if any == 0 {
+            continue;
+        }
+        for lane in 0..lanes {
+            for (diff, &(i, _)) in diffs.iter().zip(&checked) {
+                if (diff >> lane) & 1 == 1 {
+                    let expected = (implied[i] >> lane) & 1 == 1;
+                    out.push(Mismatch {
+                        state: (base + lane) as StateId,
+                        signal: sg.signal(SignalId::from_index(i)).name.clone(),
+                        expected,
+                        got: !expected,
+                    });
+                }
             }
+        }
+        if first_block_only {
+            break;
         }
     }
     out
@@ -63,7 +112,7 @@ pub fn check_against_sg(sg: &StateGraph, netlist: &Netlist) -> Vec<Mismatch> {
 ///
 /// [`SynthError::VerificationFailed`] describing the first mismatch.
 pub fn verify_against_sg(sg: &StateGraph, netlist: &Netlist) -> Result<()> {
-    let mismatches = check_against_sg(sg, netlist);
+    let mismatches = check_blocks(sg, netlist, true);
     match mismatches.first() {
         None => Ok(()),
         Some(m) => Err(SynthError::VerificationFailed(format!(

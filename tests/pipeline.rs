@@ -9,9 +9,15 @@ use reshuffle::{
     ExpansionOptions, Pipeline, PipelineError, PipelineOptions, ReduceOptions, Synthesis,
 };
 use reshuffle_bench::examples::{self, XYZ_G};
-use reshuffle_petri::parse_g;
-use reshuffle_sg::{build_state_graph, csc::analyze_csc, props::speed_independence};
-use reshuffle_synth::{derive_all_functions, verify_against_sg, ConflictPolicy};
+use reshuffle_logic::minimize_codes;
+use reshuffle_petri::{parse_g, SignalId, SignalKind};
+use reshuffle_sg::nextstate::implied_value;
+use reshuffle_sg::{build_state_graph, csc::analyze_csc, props::speed_independence, StateGraph};
+use reshuffle_synth::{
+    check_against_sg, derive_all_functions, literal_estimate, synthesize_complex_gates,
+    synthesize_gc, verify_against_sg, ConflictPolicy, GateType, Mismatch, Netlist, Node, NodeId,
+    SignalFunction,
+};
 use reshuffle_timing::{simulate, DelayModel, SimOptions};
 
 /// One-shot builder run of `.g` source text.
@@ -208,5 +214,269 @@ fn golden_corpus_netlists_verify() {
                     .unwrap_or_else(|e| panic!("{name}: verification failed: {e}"));
             }
         }
+    }
+}
+
+/// Every state graph the corpus produces: each spec's own graph (which
+/// may carry CSC conflicts) and the final graph of every successful
+/// pipeline mode, plus plain scaled controllers from 56 to 4,376 states
+/// (56 < 64, and none of 164 / 488 / 4,376 is a multiple of 64, so the
+/// verifier's partial last block is exercised; 4,376 codes also take
+/// the BDD minimizer path).
+fn corpus_state_graphs() -> Vec<(String, StateGraph)> {
+    let mut out = Vec::new();
+    for (name, src) in examples::ALL {
+        let stg = parse_g(src).expect("corpus parses");
+        if let Ok(sg) = build_state_graph(&stg) {
+            out.push((format!("{name}/spec"), sg));
+        }
+        for (mode, opts) in golden_modes() {
+            if let Ok(s) = run(src, &opts) {
+                out.push((format!("{name}/{mode}"), s.sg));
+            }
+        }
+    }
+    for n in [3, 4, 5, 7] {
+        let s = run(&examples::scaled_pipeline(n), &PipelineOptions::new()).expect("scaled");
+        out.push((format!("scaled{n}"), s.sg));
+    }
+    out
+}
+
+/// One node of `nl` evaluated on one code, recursively from the node
+/// table — deliberately independent of the netlist's own evaluator.
+fn eval_one(nl: &Netlist, n: NodeId, code: u64) -> bool {
+    match &nl.nodes()[n.0 as usize] {
+        Node::SignalRef(s) => (code >> s.index()) & 1 == 1,
+        Node::Const(b) => *b,
+        Node::Gate(g, ins) => {
+            let a = eval_one(nl, ins[0], code);
+            match g {
+                GateType::Inv => !a,
+                GateType::And2 | GateType::C2 => a && eval_one(nl, ins[1], code),
+                GateType::Or2 => a || eval_one(nl, ins[1], code),
+            }
+        }
+        Node::GcLatch { set, reset, holds } => {
+            if eval_one(nl, *set, code) {
+                true
+            } else if eval_one(nl, *reset, code) {
+                false
+            } else {
+                (code >> holds.index()) & 1 == 1
+            }
+        }
+    }
+}
+
+/// The per-state reference checker: every state, every driven
+/// non-input signal, the implied value against a one-code evaluation.
+fn reference_mismatches(sg: &StateGraph, nl: &Netlist) -> Vec<Mismatch> {
+    let mut out = Vec::new();
+    for s in sg.state_ids() {
+        let code = sg.code(s);
+        let next = nl.next_code(code);
+        for i in 0..sg.num_signals() {
+            let sig = SignalId::from_index(i);
+            let Some(d) = nl.driver(sig) else {
+                continue;
+            };
+            if sg.signal(sig).kind == SignalKind::Input {
+                continue;
+            }
+            let got = eval_one(nl, d, code);
+            assert_eq!(
+                (next >> i) & 1 == 1,
+                got,
+                "next_code disagrees at state {s}"
+            );
+            let expected = implied_value(sg, s, sig);
+            if expected != got {
+                out.push(Mismatch {
+                    state: s,
+                    signal: sg.signal(sig).name.clone(),
+                    expected,
+                    got,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Rebuilds `nl` with `edit` applied to each node and `driver` picking
+/// each signal's driver (given the original one and the new table).
+fn rebuild(
+    nl: &Netlist,
+    edit: impl Fn(usize, &Node) -> Node,
+    driver: impl Fn(usize, NodeId, &mut Netlist) -> NodeId,
+) -> Netlist {
+    let mut out = Netlist::new(nl.signals().to_vec());
+    for (i, node) in nl.nodes().iter().enumerate() {
+        out.add(edit(i, node));
+    }
+    for i in 0..nl.signals().len() {
+        let sig = SignalId::from_index(i);
+        if let Some(d) = nl.driver(sig) {
+            let d = driver(i, d, &mut out);
+            out.set_driver(sig, d).unwrap();
+        }
+    }
+    out
+}
+
+/// Deliberately broken variants of a netlist, by kind: the first
+/// AND/OR gate flipped, the first two distinct signal leaves swapped, a
+/// latch holding the wrong signal, and the first driver tied to 0 or
+/// to 1.
+fn broken_variants(nl: &Netlist) -> Vec<(&'static str, Netlist)> {
+    let nodes = nl.nodes();
+    let keep = |_: usize, d: NodeId, _: &mut Netlist| d;
+    let mut out = Vec::new();
+    if let Some(at) = nodes
+        .iter()
+        .position(|n| matches!(n, Node::Gate(GateType::And2 | GateType::Or2, _)))
+    {
+        let flip = |i: usize, n: &Node| match n {
+            Node::Gate(g, ins) if i == at => {
+                let g = if *g == GateType::And2 {
+                    GateType::Or2
+                } else {
+                    GateType::And2
+                };
+                Node::Gate(g, ins.clone())
+            }
+            n => n.clone(),
+        };
+        out.push(("flipped gate", rebuild(nl, flip, keep)));
+    }
+    let leaves: Vec<(usize, SignalId)> = nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, n)| match n {
+            Node::SignalRef(s) => Some((i, *s)),
+            _ => None,
+        })
+        .collect();
+    if let Some(&(j, b)) = leaves.iter().find(|(_, s)| *s != leaves[0].1) {
+        let (i, a) = leaves[0];
+        let swap = |k: usize, n: &Node| match n {
+            _ if k == i => Node::SignalRef(b),
+            _ if k == j => Node::SignalRef(a),
+            n => n.clone(),
+        };
+        out.push(("swapped inputs", rebuild(nl, swap, keep)));
+    }
+    let n = nl.signals().len();
+    if let Some(at) = nodes.iter().position(|x| matches!(x, Node::GcLatch { .. })) {
+        let rehold = |i: usize, x: &Node| match x {
+            Node::GcLatch { set, reset, holds } if i == at => Node::GcLatch {
+                set: *set,
+                reset: *reset,
+                holds: SignalId::from_index((holds.index() + 1) % n),
+            },
+            x => x.clone(),
+        };
+        out.push(("wrong hold", rebuild(nl, rehold, keep)));
+    }
+    if let Some(first) = (0..n).find(|&i| nl.driver(SignalId::from_index(i)).is_some()) {
+        for level in [false, true] {
+            let tie = move |i: usize, d: NodeId, out: &mut Netlist| {
+                if i == first {
+                    out.add(Node::Const(level))
+                } else {
+                    d
+                }
+            };
+            out.push(("constant driver", rebuild(nl, |_, x| x.clone(), tie)));
+        }
+    }
+    out
+}
+
+#[test]
+fn word_parallel_checker_matches_per_state_reference() {
+    let mut caught: std::collections::BTreeMap<&str, usize> = Default::default();
+    let mut checked = 0;
+    for (name, sg) in corpus_state_graphs() {
+        let mut netlists = Vec::new();
+        if let Ok(imp) = synthesize_complex_gates(&sg) {
+            netlists.push(("complex-gate", imp.netlist));
+        }
+        if let Ok(imp) = synthesize_gc(&sg) {
+            netlists.push(("gC", imp.netlist));
+        }
+        for (style, nl) in netlists {
+            let mut variants = vec![("as synthesized", nl.clone())];
+            variants.extend(broken_variants(&nl));
+            for (kind, nl) in variants {
+                let want = reference_mismatches(&sg, &nl);
+                let got = check_against_sg(&sg, &nl);
+                assert_eq!(got, want, "{name} {style} {kind}: checkers disagree");
+                match (verify_against_sg(&sg, &nl), want.first()) {
+                    (Ok(()), None) => {}
+                    (Err(e), Some(m)) => {
+                        let msg = e.to_string();
+                        assert!(
+                            msg.contains(&format!("state {} (", m.state))
+                                && msg.contains(&format!("signal `{}`", m.signal)),
+                            "{name} {style} {kind}: {msg} does not report {m:?}"
+                        );
+                    }
+                    (r, m) => panic!("{name} {style} {kind}: verify {r:?} vs first {m:?}"),
+                }
+                if kind == "as synthesized" {
+                    assert!(want.is_empty(), "{name} {style}: synthesized netlist wrong");
+                } else if !want.is_empty() {
+                    *caught.entry(kind).or_default() += 1;
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 100, "only {checked} netlists checked");
+    for kind in [
+        "flipped gate",
+        "swapped inputs",
+        "wrong hold",
+        "constant driver",
+    ] {
+        assert!(
+            caught.get(kind).is_some_and(|&c| c > 0),
+            "no {kind} mutant caught: {caught:?}"
+        );
+    }
+}
+
+#[test]
+fn complex_gate_literals_equal_the_literal_estimate() {
+    // The ranking scores a freshly synthesized complex-gate candidate
+    // by the literal sum of its derived functions instead of calling
+    // `literal_estimate` again; the two must agree wherever
+    // complex-gate synthesis succeeds.
+    let mut compared = 0;
+    for (name, sg) in corpus_state_graphs() {
+        if let Ok(imp) = synthesize_complex_gates(&sg) {
+            let sum: u32 = imp.functions.iter().map(SignalFunction::literals).sum();
+            assert_eq!(sum, literal_estimate(&sg), "{name}");
+            compared += 1;
+        }
+    }
+    assert!(compared > 20, "only {compared} graphs compared");
+}
+
+#[test]
+fn shared_unreached_cover_gives_the_per_signal_covers() {
+    // 4,376 codes put every signal on the BDD path; the cover derived
+    // with the once-per-graph don't-care cubes must be the one each
+    // signal's own on/off lists minimize to.
+    let s = run(&examples::scaled_pipeline(7), &PipelineOptions::new()).expect("scaled");
+    let funcs = derive_all_functions(&s.sg, ConflictPolicy::Reject).expect("conflict-free");
+    assert!(funcs
+        .iter()
+        .all(|f| f.table.on.len() + f.table.off.len() > 4096));
+    for f in &funcs {
+        let own = minimize_codes(f.table.num_vars, &f.table.on, &f.table.off);
+        assert_eq!(f.cover, own, "signal {}", s.sg.signal(f.signal).name);
     }
 }
