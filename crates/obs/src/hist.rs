@@ -62,20 +62,20 @@ pub struct Histogram {
 
 /// How many atomic shards each histogram carries. Small and fixed: enough
 /// to spread a handful of server workers, cheap enough to merge on read.
-const NUM_SHARDS: usize = 8;
+const HIST_SHARDS: usize = 8;
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Each thread records into one shard, assigned round-robin on first use.
-    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
+    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % HIST_SHARDS;
 }
 
 impl Histogram {
     /// Create an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            shards: (0..NUM_SHARDS).map(|_| Shard::new()).collect(),
+            shards: (0..HIST_SHARDS).map(|_| Shard::new()).collect(),
         }
     }
 

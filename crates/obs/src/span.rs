@@ -207,7 +207,7 @@ impl Tracer {
     /// A tracer emitting to `sink` at `level` (0 disables emission).
     ///
     /// Verbosity levels: `1` traces requests and pipeline stages, `2`
-    /// additionally traces per-shard BFS work.
+    /// additionally traces each BFS level.
     pub fn new(level: u8, sink: SinkHandle) -> Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
@@ -500,12 +500,12 @@ mod tests {
     fn level_gates_verbose_spans() {
         let (tracer, ring) = ring_tracer(1);
         let root = tracer.root(TraceId::derive(1, 1));
-        let shard = root.span_at(2, "bfs.shard");
-        assert!(!shard.is_live());
-        drop(shard);
+        let level = root.span_at(2, "bfs.level");
+        assert!(!level.is_live());
+        drop(level);
         assert!(ring.lines().is_empty());
         tracer.set_level(2);
-        root.span_at(2, "bfs.shard").end(&[]);
+        root.span_at(2, "bfs.level").end(&[]);
         assert_eq!(ring.lines().len(), 1);
         tracer.set_level(0);
         assert!(!root.enabled_at(1));

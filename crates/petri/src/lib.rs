@@ -15,8 +15,9 @@
 //!   expansion and concurrency reduction;
 //! * [`canonical_fingerprint`] — declaration-order-invariant hashing of
 //!   STGs, the key of the facade's synthesis cache;
-//! * [`sharded`] — the deterministic sharded parallel BFS engine behind
-//!   [`ReachabilityGraph::explore_opts`] and the state-graph build.
+//! * [`sharded`] — the canonical breadth-first exploration engine
+//!   behind [`ReachabilityGraph::explore_opts`] and the state-graph
+//!   build.
 //!
 //! # Example
 //!

@@ -4,7 +4,7 @@
 //! arcs are transition firings, with the queries its clients share
 //! (deadlocks, safeness diagnosis, liveness of individual transitions).
 //! The state-graph build explores markings paired with signal parities
-//! on the same [`sharded`] engine instead.
+//! on the same [`sharded`] breadth-first engine instead.
 
 use crate::error::{PetriError, Result};
 use crate::ids::TransitionId;
@@ -18,8 +18,8 @@ pub const DEFAULT_STATE_BUDGET: usize = 1_000_000;
 /// The reachability graph of a 1-safe net from a given initial marking.
 ///
 /// Nodes are numbered canonically — breadth-first from the initial
-/// marking, arcs in ascending transition order — so the graph is
-/// byte-identical no matter how many threads explored it.
+/// marking, arcs in ascending transition order — so exploring the same
+/// net twice gives byte-identical graphs.
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     markings: Vec<Marking>,
@@ -29,8 +29,7 @@ pub struct ReachabilityGraph {
 }
 
 impl ReachabilityGraph {
-    /// Explores the reachability graph of `net` from `initial` on one
-    /// thread.
+    /// Explores the reachability graph of `net` from `initial`.
     ///
     /// # Errors
     ///
@@ -40,15 +39,16 @@ impl ReachabilityGraph {
     ///   markings are reachable;
     /// * [`PetriError::Structural`] if the net has source transitions.
     pub fn explore(net: &PetriNet, initial: &Marking, budget: usize) -> Result<Self> {
-        Self::explore_opts(net, initial, &ExploreOptions::new(1, budget))
+        let opts = ExploreOptions {
+            budget,
+            span: Default::default(),
+        };
+        Self::explore_opts(net, initial, &opts)
     }
 
-    /// [`ReachabilityGraph::explore`] with a sharded parallel frontier:
-    /// markings are hash-partitioned over [`sharded::NUM_SHARDS`]
-    /// shards processed by up to `opts.threads` workers (`0` = available
-    /// parallelism), optionally under a trace context for per-shard BFS
-    /// spans. The result is canonically numbered and therefore identical
-    /// for every thread count; tracing does not change it either.
+    /// [`ReachabilityGraph::explore`] with explicit [`ExploreOptions`],
+    /// optionally under a trace context for per-level `bfs.level`
+    /// spans. Tracing does not change the result.
     ///
     /// # Errors
     ///
@@ -74,7 +74,7 @@ impl ReachabilityGraph {
     }
 
     /// Largest breadth-first frontier seen while exploring (a proxy for
-    /// how much parallelism the net exposes).
+    /// how much concurrency the net exposes).
     pub fn peak_frontier(&self) -> usize {
         self.peak_frontier
     }

@@ -53,15 +53,6 @@ impl Polarity {
             Polarity::Toggle => "~",
         }
     }
-
-    /// The opposite direction; toggles are their own opposite.
-    pub fn opposite(self) -> Polarity {
-        match self {
-            Polarity::Rise => Polarity::Fall,
-            Polarity::Fall => Polarity::Rise,
-            Polarity::Toggle => Polarity::Toggle,
-        }
-    }
 }
 
 /// A signal edge: which signal, which direction.

@@ -25,7 +25,7 @@
 //!    of holding a worker.
 //! 3. **Batching + single-flight dedup** — connections land on a
 //!    bounded accept queue drained by a worker pool sized by
-//!    [`BuildOptions::threads`]; when the queue is full the service
+//!    [`ServerConfig::with_threads`]; when the queue is full the service
 //!    sheds load with `503` instead of stalling. Concurrent requests
 //!    for the same spec × options (the [`reshuffle::run_cache_key`])
 //!    coalesce into one pipeline execution whose result every waiter
@@ -41,8 +41,8 @@
 //!    plus a nonce, or propagated verbatim from a parseable client
 //!    `X-Trace-Id` — and with a
 //!    [`trace level`](ServerConfig::with_trace_level) above zero the
-//!    request, its pipeline stages and (at level 2) the per-shard BFS
-//!    work are emitted as JSON span lines sharing that id.
+//!    request, its pipeline stages and (at level 2) each BFS level are
+//!    emitted as JSON span lines sharing that id.
 //!
 //! For horizontal deployment the same binary also runs as a
 //! **fingerprint-sharded router** in front of N of these backends —
@@ -89,9 +89,8 @@ use reshuffle::{
 use reshuffle_bench::json::{self, Json};
 use reshuffle_obs::{FieldVal, HistSnapshot, Histogram, PromWriter, Tracer};
 use reshuffle_petri::parse_g;
-use reshuffle_sg::BuildOptions;
 
-use engine::{Engine, EngineConfig, EngineState, Response, Service};
+use engine::{error_body, Engine, EngineConfig, EngineState, Response, Service};
 
 pub use client::{ClientConn, ClientResponse};
 pub use flight::{FlightResult, Follower, Join, LeaderGuard, SingleFlight};
@@ -134,8 +133,8 @@ pub use router::{Router, RouterConfig};
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` by default — an ephemeral port).
     pub addr: String,
-    /// Worker threads; `0` (the default, via [`BuildOptions`]) resolves
-    /// to the machine's available parallelism.
+    /// Worker threads; `0` (the default) resolves to the machine's
+    /// available parallelism.
     pub threads: usize,
     /// Accepted connections queued ahead of the workers; one more and
     /// the service sheds with `503`.
@@ -163,7 +162,7 @@ pub struct ServerConfig {
     pub shard_id: Option<u64>,
     /// Trace verbosity: `0` disables tracing (one relaxed atomic load
     /// per would-be span), `1` traces requests and pipeline stages,
-    /// `2` additionally traces per-shard BFS work. Defaults to the
+    /// `2` additionally traces each BFS level. Defaults to the
     /// `RESHUFFLE_TRACE` environment variable, or `0`.
     pub trace_level: u8,
     /// Where span JSON lines go when tracing is on (`None` = stderr).
@@ -174,7 +173,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: BuildOptions::default().threads,
+            threads: 0,
             queue_depth: 64,
             request_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(5),
@@ -262,7 +261,7 @@ impl ServerConfig {
     }
 
     /// Sets the trace verbosity (`0` off, `1` requests + stages, `2`
-    /// also per-shard BFS).
+    /// also BFS levels).
     pub fn with_trace_level(mut self, level: u8) -> ServerConfig {
         self.trace_level = level;
         self
@@ -454,10 +453,6 @@ fn num_field(value: &Json, what: &str) -> Result<f64, String> {
         .as_num()
         .filter(|n| *n >= 0.0)
         .ok_or_else(|| format!("{what} must be a non-negative number"))
-}
-
-fn error_body(msg: &str) -> String {
-    engine::error_body(msg)
 }
 
 impl Service for SynthService {

@@ -48,7 +48,6 @@ use reshuffle_bench::json::{self, Json};
 use reshuffle_obs::{
     parse as prom_parse, FieldVal, HistSnapshot, PromDoc, PromWriter, SinkHandle, TraceId, Tracer,
 };
-use reshuffle_sg::BuildOptions;
 use std::collections::HashMap;
 
 use crate::client::{exchange_with_retry, ClientConn};
@@ -104,7 +103,7 @@ impl RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             backends,
-            threads: BuildOptions::default().threads,
+            threads: 0,
             queue_depth: 64,
             request_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(5),

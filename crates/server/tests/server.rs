@@ -462,9 +462,9 @@ fn every_response_echoes_a_trace_id_and_spans_share_it() {
     assert_eq!(trace.len(), 32, "{trace}");
     assert!(trace.bytes().all(|b| b.is_ascii_hexdigit()), "{trace}");
     // ...and every span the request emitted — the request root, the
-    // pipeline stages, and the level-2 BFS shards — carries that id.
+    // pipeline stages, and the level-2 BFS levels — carries that id.
     let lines = ring.lines();
-    for name in ["request", "stage.expand", "stage.synthesize", "bfs.shard"] {
+    for name in ["request", "stage.expand", "stage.synthesize", "bfs.level"] {
         assert!(
             lines
                 .iter()

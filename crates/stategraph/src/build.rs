@@ -32,12 +32,8 @@ use crate::sg::{EventId, EventInfo, StateGraph};
 
 /// Options for state-graph construction.
 ///
-/// # Thread-count independence
-///
-/// The build explores with a sharded parallel frontier and then
-/// renumbers states canonically, so the resulting graph — ids, arcs,
-/// fingerprint, `Debug` output — is **byte-identical for every value
-/// of `threads`**:
+/// A build that reaches more than `state_budget` states fails instead
+/// of exhausting memory:
 ///
 /// ```
 /// use reshuffle_petri::parse_g;
@@ -49,16 +45,9 @@ use crate::sg::{EventId, EventInfo, StateGraph};
 ///      x+ y+\ny+ z+\nz+ x-\nx- y-\ny- z-\nz- x+\n\
 ///      .marking { <z-,x+> }\n.end\n",
 /// )?;
-/// let serial = build_state_graph_with(
-///     &stg,
-///     &BuildOptions { threads: 1, ..Default::default() },
-/// )?;
-/// let parallel = build_state_graph_with(
-///     &stg,
-///     &BuildOptions { threads: 8, ..Default::default() },
-/// )?;
-/// assert_eq!(serial.fingerprint(), parallel.fingerprint());
-/// assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+/// let opts = |state_budget| BuildOptions { state_budget, ..Default::default() };
+/// assert_eq!(build_state_graph_with(&stg, &opts(6))?.num_states(), 6);
+/// assert!(build_state_graph_with(&stg, &opts(5)).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -66,14 +55,10 @@ use crate::sg::{EventId, EventInfo, StateGraph};
 pub struct BuildOptions {
     /// Cap on the number of explored states.
     pub state_budget: usize,
-    /// Worker threads for the sharded reachability frontier: `0` (the
-    /// default) resolves to the machine's available parallelism, `1`
-    /// forces a serial build. The default can be pinned globally with
-    /// the `RESHUFFLE_THREADS` environment variable — CI uses that to
-    /// assert thread-count independence of whole reports.
-    pub threads: usize,
     /// Trace context: the build opens a `bfs.encode` child span
-    /// (level 1) and per-shard `bfs.shard` spans (level 2) under it. Disabled by default; never affects the built graph.
+    /// (level 1) and one `bfs.level` span per breadth-first level
+    /// (level 2) under it. Disabled by default; never affects the
+    /// built graph.
     pub span: SpanCtx,
 }
 
@@ -81,10 +66,6 @@ impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
             state_budget: reshuffle_petri::DEFAULT_STATE_BUDGET,
-            threads: std::env::var("RESHUFFLE_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
             span: SpanCtx::default(),
         }
     }
@@ -100,8 +81,8 @@ impl BuildOptions {
 }
 
 /// What one state-graph build did, for diagnostics: sizes of the
-/// result plus the exploration's peak frontier (a proxy for exploitable
-/// parallelism) and the worker count actually used.
+/// result plus the exploration's peak frontier (a proxy for the
+/// specification's concurrency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildStats {
     /// States in the built graph.
@@ -112,8 +93,6 @@ pub struct BuildStats {
     pub interned_markings: usize,
     /// Largest breadth-first frontier of the exploration.
     pub peak_frontier: usize,
-    /// Worker threads the build resolved to.
-    pub threads: usize,
 }
 
 /// Builds the state graph of `stg` with default options.
@@ -127,10 +106,10 @@ pub fn build_state_graph(stg: &Stg) -> Result<StateGraph> {
 
 /// Builds the state graph of `stg`.
 ///
-/// The construction runs one sharded parallel breadth-first exploration
-/// ([`reshuffle_petri::sharded`]) of *(marking, parity)* pairs, followed
-/// by a canonical renumbering, so the result is identical for every
-/// [`BuildOptions::threads`] value. A single pass over the explored arcs
+/// The construction runs one canonical breadth-first exploration
+/// ([`reshuffle_petri::sharded`]) of *(marking, parity)* pairs: states
+/// are numbered in discovery order, so building the same STG twice
+/// gives byte-identical graphs. A single pass over the explored arcs
 /// then solves the initial values, checks consistency (see the module
 /// docs) and assembles the compressed CSR layout, with markings interned
 /// into one shared arena.
@@ -188,7 +167,10 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
     let sp = opts.span.span("bfs.encode");
     let explored = sharded::explore(
         (stg.initial_marking(), 0u64),
-        &ExploreOptions::new(opts.threads, opts.state_budget).with_span(sp.ctx()),
+        &ExploreOptions {
+            budget: opts.state_budget,
+            span: sp.ctx(),
+        },
         |(m, parity): &(Marking, u64), out: &mut Vec<(EventId, (Marking, u64))>| {
             for t in m.enabled_transitions(net) {
                 let next = parity ^ (edges[t.index()].0 & tracked);
@@ -297,7 +279,6 @@ pub fn build_state_graph_stats(stg: &Stg, opts: &BuildOptions) -> Result<(StateG
         arcs: num_arcs,
         interned_markings: markings.len(),
         peak_frontier: explored.peak_frontier,
-        threads: sharded::effective_threads(opts.threads),
     };
     let sg = StateGraph::from_csr(
         stg.name.clone(),
@@ -589,16 +570,10 @@ b~ a~
         let src = ".model mix\n.inputs a\n.outputs b\n.graph\n\
                    a~ b+\nb+ b-\nb- a~\n.marking { <b-,a~> }\n.end\n";
         let stg = parse_g(src).unwrap();
-        for threads in [1, 4] {
-            let opts = BuildOptions {
-                threads,
-                ..Default::default()
-            };
-            let sg = build_state_graph_with(&stg, &opts).unwrap();
-            assert_eq!(sg.interned_markings().len(), 3);
-            // Bit 0 is a, bit 1 is b, states in canonical BFS order.
-            assert_eq!(sg.codes(), [0b00, 0b01, 0b11, 0b01, 0b00, 0b10]);
-        }
+        let sg = build_state_graph(&stg).unwrap();
+        assert_eq!(sg.interned_markings().len(), 3);
+        // Bit 0 is a, bit 1 is b, states in canonical BFS order.
+        assert_eq!(sg.codes(), [0b00, 0b01, 0b11, 0b01, 0b00, 0b10]);
     }
 
     #[test]

@@ -86,12 +86,6 @@ fn has_positive_cycle(n: usize, edges: &[(usize, usize, f64, f64)], lambda: f64)
     false
 }
 
-/// Convenience: period from the analytic bound when the STG is a marked
-/// graph, cross-checkable with [`crate::simulate`].
-pub fn period_if_marked_graph(stg: &Stg, delays: &DelayModel) -> Option<f64> {
-    max_cycle_ratio(stg, delays)
-}
-
 /// The critical transitions: events on some cycle achieving the maximum
 /// ratio (within tolerance). Returns an empty vector for non-marked
 /// graphs.

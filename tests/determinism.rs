@@ -1,87 +1,57 @@
-//! Thread-count independence of the parallel state-graph build, and
-//! equivalence of the CSR incremental product with a full rebuild.
+//! Canonical numbering of the state-graph build, and equivalence of
+//! the CSR incremental product with a full rebuild.
 //!
-//! The sharded parallel exploration must be *byte-identical* for every
-//! thread count — state numbering, arcs, fingerprints and `Debug`
-//! rendering — because golden pins, `canonical_fingerprint`-keyed
-//! caches and committed bench baselines all assume one canonical
-//! graph per specification.
+//! Golden pins, `canonical_fingerprint`-keyed caches and committed
+//! bench baselines all assume one canonical graph per specification:
+//! states numbered breadth-first from the initial state, each state's
+//! arcs followed in event order.
+
+use std::collections::VecDeque;
 
 use reshuffle_bench::examples;
 use reshuffle_petri::{parse_g, structural};
 use reshuffle_sg::conc::concurrent_pairs;
 use reshuffle_sg::restrict::restrict_with_place;
-use reshuffle_sg::{build_state_graph, build_state_graph_with, BuildOptions, EventId};
+use reshuffle_sg::{build_state_graph, EventId, StateGraph};
 
-fn opts(threads: usize) -> BuildOptions {
-    BuildOptions {
-        threads,
-        ..Default::default()
-    }
-}
-
-#[test]
-fn corpus_builds_identically_at_1_2_8_threads() {
-    for (name, src) in examples::ALL {
-        let stg = parse_g(src).unwrap();
-        let base = build_state_graph_with(&stg, &opts(1)).unwrap();
-        let base_debug = format!("{base:?}");
-        for threads in [2, 8] {
-            let sg = build_state_graph_with(&stg, &opts(threads)).unwrap();
-            assert_eq!(
-                base.fingerprint(),
-                sg.fingerprint(),
-                "{name}: fingerprint differs at {threads} threads"
-            );
-            assert_eq!(
-                base_debug,
-                format!("{sg:?}"),
-                "{name}: Debug output differs at {threads} threads"
-            );
+/// Asserts that a breadth-first search over `sg.succ()` from state 0,
+/// whose arcs must come in event order, discovers the states as 0, 1,
+/// 2, … and reaches all of them.
+fn assert_canonical_bfs(name: &str, sg: &StateGraph) {
+    let n = sg.num_states();
+    assert_eq!(sg.initial(), 0, "{name}: initial state is not state 0");
+    let mut seen = vec![false; n];
+    let mut queue = VecDeque::from([0]);
+    seen[0] = true;
+    let mut next = 1;
+    while let Some(s) = queue.pop_front() {
+        let arcs = sg.succ(s);
+        assert!(
+            arcs.events().windows(2).all(|w| w[0] < w[1]),
+            "{name}: arcs of state {s} are not in event order"
+        );
+        for (_, t) in arcs {
+            if !seen[t as usize] {
+                assert_eq!(t, next, "{name}: state {next} discovered as {t}");
+                seen[t as usize] = true;
+                queue.push_back(t);
+                next += 1;
+            }
         }
     }
+    assert_eq!(next as usize, n, "{name}: unreachable states");
 }
 
 #[test]
-fn scaled_generator_builds_identically_across_threads() {
-    // n = 5 keeps the suite fast while still crossing multiple shards
-    // every level (the frontier stays under the engine's spawn
-    // threshold — the spawned path is pinned by the test below and by
-    // the engine's own `spawned_path_matches_inline_path`).
-    let stg = parse_g(&examples::scaled_pipeline(5)).unwrap();
-    let base = build_state_graph_with(&stg, &opts(1)).unwrap();
-    assert_eq!(base.num_states(), 2 * 3usize.pow(5) + 2);
-    for threads in [2, 8] {
-        let sg = build_state_graph_with(&stg, &opts(threads)).unwrap();
-        assert_eq!(base.fingerprint(), sg.fingerprint());
-        assert_eq!(format!("{base:?}"), format!("{sg:?}"));
+fn build_numbering_is_canonical_bfs() {
+    for (name, src) in examples::ALL {
+        let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
+        assert_canonical_bfs(name, &sg);
     }
-}
-
-#[test]
-fn spawned_workers_build_identically_at_scale() {
-    // scaled_pipeline(9) peaks at a ~3100-state frontier — past the
-    // engine's spawn threshold — so the multi-thread builds here run
-    // the real scoped-worker path end to end through
-    // `build_state_graph_with`, not the inline fallback.
-    let stg = parse_g(&examples::scaled_pipeline(9)).unwrap();
-    let (base, stats) =
-        reshuffle_sg::build_state_graph_stats(&stg, &opts(1)).expect("serial build");
-    assert_eq!(stats.states, 2 * 3usize.pow(9) + 2);
-    assert!(
-        stats.peak_frontier > 1024,
-        "frontier {} never crossed the spawn threshold — this test would be vacuous",
-        stats.peak_frontier
-    );
-    for threads in [2, 8] {
-        let sg = build_state_graph_with(&stg, &opts(threads)).unwrap();
-        assert_eq!(
-            base.fingerprint(),
-            sg.fingerprint(),
-            "spawned build differs at {threads} threads"
-        );
-        assert_eq!(base.num_arcs(), sg.num_arcs());
-        assert_eq!(base.codes(), sg.codes());
+    for n in [5, 9] {
+        let sg = build_state_graph(&parse_g(&examples::scaled_pipeline(n)).unwrap()).unwrap();
+        assert_eq!(sg.num_states(), 2 * 3usize.pow(n as u32) + 2);
+        assert_canonical_bfs(&format!("scaled_pipeline({n})"), &sg);
     }
 }
 
