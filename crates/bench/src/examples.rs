@@ -1,4 +1,4 @@
-//! Shared `.g` sources for benches and the `tables` binary.
+//! Shared `.g` sources for the `tables` binary, the tests and `loadgen`.
 //!
 //! The paper's Tables 1 and 2 report literal counts and cycle metrics
 //! for a suite of controllers. The original benchmark `.g` files are

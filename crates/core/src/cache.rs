@@ -20,8 +20,9 @@
 //! surfaced on [`Diagnostics`](crate::Diagnostics). A cache built
 //! [`with_capacity`](SynthCache::with_capacity) evicts its least
 //! recently used entry when full; caches persist across processes via
-//! [`save_to`](SynthCache::save_to) / [`load_from`](SynthCache::load_from)
-//! and a [`CacheStore`](crate::CacheStore).
+//! [`compact_to`](SynthCache::compact_to) /
+//! [`recover`](SynthCache::recover) and a
+//! [`CacheStore`](crate::CacheStore).
 //!
 //! [`run`]: crate::Parsed::run
 

@@ -98,7 +98,7 @@ pub use reshuffle_handshake::{ExpansionOptions, HandshakeError, Reshuffling};
 pub use reshuffle_petri::{canonical_fingerprint, parse_g, PetriError, Stg};
 pub use reshuffle_reduce::{MoveStep, ReduceError, ReduceOptions};
 pub use reshuffle_sg::{build_state_graph, SgError, StateGraph};
-pub use reshuffle_synth::{CscOptions, Library, Netlist, SynthError};
+pub use reshuffle_synth::{CscOptions, Netlist, SynthError};
 pub use reshuffle_timing::{simulate, DelayModel, SimOptions, TimingError};
 
 pub use cache::SynthCache;
@@ -953,10 +953,11 @@ Go- Req~
             .with_cache(&cache)
             .run(&opts)
             .unwrap();
-        cache.save_to(&store).unwrap();
+        cache.compact_to(&store).unwrap();
 
-        // A fresh handle loaded from the store hits on the same key.
-        let reloaded = SynthCache::load_from(&store).unwrap();
+        // A fresh handle recovered from the store hits on the same key.
+        let load = |store: &MemStore| SynthCache::recover(store).map(|r| r.cache);
+        let reloaded = load(&store).unwrap();
         assert_eq!(reloaded.len(), 1);
         assert_eq!(reloaded.misses(), 1, "counters were not persisted");
         let replay = Pipeline::from_g(XYZ_G)
@@ -971,24 +972,31 @@ Go- Req~
             "reloaded synthesis drifted"
         );
         // Save → load → save is byte-identical.
-        let bytes = cache.to_bytes();
+        let bytes = store.read().unwrap().unwrap();
+        let resaved = MemStore::new();
+        load(&store).unwrap().compact_to(&resaved).unwrap();
         assert_eq!(
-            bytes,
-            SynthCache::from_bytes(&bytes).unwrap().to_bytes(),
+            Some(&bytes),
+            resaved.read().unwrap().as_ref(),
             "codec round-trip not byte-identical"
         );
         // An empty store loads as an empty cache; corrupt bytes error.
-        assert!(SynthCache::load_from(&MemStore::new()).unwrap().is_empty());
-        assert!(SynthCache::from_bytes(b"not a snapshot").is_err());
+        assert!(load(&MemStore::new()).unwrap().is_empty());
+        let load_bytes = |bytes: &[u8]| {
+            let store = MemStore::new();
+            store.write(bytes).unwrap();
+            load(&store)
+        };
+        assert!(load_bytes(b"not a snapshot").is_err());
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xFF;
-        assert!(SynthCache::from_bytes(&wrong_version).is_err());
+        assert!(load_bytes(&wrong_version).is_err());
         let mut truncated = bytes.clone();
         truncated.pop();
-        assert!(SynthCache::from_bytes(&truncated).is_err());
+        assert!(load_bytes(&truncated).is_err());
         let mut trailing = bytes;
         trailing.push(0);
-        assert!(SynthCache::from_bytes(&trailing).is_err());
+        assert!(load_bytes(&trailing).is_err());
     }
 
     #[test]
@@ -1060,7 +1068,7 @@ Go- Req~
             .with_cache(&cache)
             .run(&PipelineOptions::default())
             .unwrap();
-        cache.save_to(&*store).unwrap(); // snapshot landed, journal did not clear
+        store.write(&cache.to_bytes()).unwrap(); // snapshot landed, journal did not clear
         let recovery = SynthCache::recover(&*store).unwrap();
         assert_eq!(recovery.snapshot_entries, 1);
         assert_eq!(recovery.journal_entries, 1);

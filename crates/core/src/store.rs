@@ -9,8 +9,8 @@
 //! (the round-trip-pinned writer), the CSR state graph as its raw
 //! parts, and the netlist as its node table. Entries are written
 //! sorted by cache key and carry their LRU recency stamps, so
-//! `save → load → save` is **byte-identical** and the eviction order
-//! survives a process restart.
+//! `compact → recover → compact` is **byte-identical** and the eviction
+//! order survives a process restart.
 //!
 //! A store holds two artifacts:
 //!
@@ -67,9 +67,7 @@ const JOURNAL_HEADER_BYTES: usize = 20;
 /// journal ([`CacheStore::append`] adds a durable record,
 /// [`CacheStore::read_journal`] returns everything appended since the
 /// last [`CacheStore::clear_journal`]). The codecs themselves live on
-/// [`SynthCache`] ([`save_to`](SynthCache::save_to) /
-/// [`load_from`](SynthCache::load_from) /
-/// [`recover`](SynthCache::recover) /
+/// [`SynthCache`] ([`recover`](SynthCache::recover) /
 /// [`compact_to`](SynthCache::compact_to)); stores only move opaque
 /// bytes, so a new backend (a database blob, an object store) is one
 /// small impl away.
@@ -88,15 +86,15 @@ const JOURNAL_HEADER_BYTES: usize = 20;
 ///            .marking { <z-,x+> }\n.end\n";
 /// let opts = PipelineOptions::default();
 ///
-/// // One real run fills the cache; save the snapshot.
+/// // One real run fills the cache; compact it into a snapshot.
 /// let cache = SynthCache::new();
 /// let first = Pipeline::from_g(src)?.with_cache(&cache).run(&opts)?;
 /// let store = MemStore::new(); // swap in `FileStore` for a real path
-/// cache.save_to(&store)?;
+/// cache.compact_to(&store)?;
 /// assert!(store.read()?.is_some());
 ///
-/// // A fresh process loads the snapshot: the identical key hits.
-/// let reloaded = SynthCache::load_from(&store)?;
+/// // A fresh process recovers the snapshot: the identical key hits.
+/// let reloaded = SynthCache::recover(&store)?.cache;
 /// assert_eq!(reloaded.len(), 1);
 /// let replay = Pipeline::from_g(src)?.with_cache(&reloaded).run(&opts)?;
 /// assert_eq!(replay.diagnostics().cache_hits, 1);
@@ -300,37 +298,12 @@ impl CacheStore for MemStore {
 }
 
 impl SynthCache {
-    /// Persists a snapshot of this cache — entries with their LRU
-    /// recency stamps plus the lifetime counters — to `store`.
-    ///
-    /// Entries are written sorted by key, so saving an unchanged cache
-    /// produces byte-identical output (the capacity bound is runtime
-    /// configuration and is *not* part of the snapshot).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's I/O failure.
-    pub fn save_to(&self, store: &dyn CacheStore) -> io::Result<()> {
-        store.write(&self.to_bytes())
-    }
-
-    /// Loads the cache last saved to `store`; an empty store yields an
-    /// empty cache. The loaded cache is unbounded — re-apply a bound
-    /// with [`SynthCache::set_capacity`].
-    ///
-    /// # Errors
-    ///
-    /// The store's I/O failure, or [`io::ErrorKind::InvalidData`] when
-    /// the bytes are not a valid snapshot (foreign magic, future
-    /// version, or a corrupt record).
-    pub fn load_from(store: &dyn CacheStore) -> io::Result<SynthCache> {
-        match store.read()? {
-            None => Ok(SynthCache::new()),
-            Some(bytes) => SynthCache::from_bytes(&bytes),
-        }
-    }
-
-    /// Encodes the cache into the versioned binary snapshot format.
+    /// Encodes the cache into the versioned binary snapshot format:
+    /// entries with their LRU recency stamps plus the lifetime
+    /// counters. Entries are written sorted by key, so encoding an
+    /// unchanged cache produces byte-identical output (the capacity
+    /// bound is runtime configuration and is *not* part of the
+    /// snapshot).
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries = self.export_entries();
         let (hits, misses, shared_hits, evictions) = self.export_counters();
@@ -348,16 +321,6 @@ impl SynthCache {
             encode_synthesis(&mut w, synthesis);
         }
         w.out
-    }
-
-    /// Decodes a snapshot produced by [`SynthCache::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on any malformed byte.
-    pub fn from_bytes(bytes: &[u8]) -> io::Result<SynthCache> {
-        let (entries, counters) = decode_snapshot(bytes)?;
-        Ok(SynthCache::import(entries, counters))
     }
 
     /// Loads `snapshot + journal replay` from `store` — the crash-safe
@@ -836,7 +799,6 @@ fn encode_netlist(w: &mut Writer, nl: &Netlist) {
                     GateType::Inv => 0,
                     GateType::And2 => 1,
                     GateType::Or2 => 2,
-                    GateType::C2 => 3,
                 });
                 w.u32(ins.len() as u32);
                 for n in ins {
@@ -883,7 +845,6 @@ fn decode_netlist(r: &mut Reader) -> io::Result<Netlist> {
                     0 => GateType::Inv,
                     1 => GateType::And2,
                     2 => GateType::Or2,
-                    3 => GateType::C2,
                     g => return Err(bad(format!("unknown gate tag {g}"))),
                 };
                 let num_ins = r.u32()? as usize;
@@ -926,4 +887,48 @@ fn decode_netlist(r: &mut Reader) -> io::Result<Netlist> {
         }
     }
     Ok(nl)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A netlist record `b = g(a, a)` whose one gate carries `tag`.
+    fn gate_record(tag: u8) -> Vec<u8> {
+        let signal = |name: &str, kind| Signal {
+            name: name.into(),
+            kind,
+        };
+        let mut w = Writer::default();
+        encode_signals(
+            &mut w,
+            &[
+                signal("a", SignalKind::Input),
+                signal("b", SignalKind::Output),
+            ],
+        );
+        w.u32(2);
+        // Node 0: signal a. Node 1: the gate over node 0 twice.
+        w.u8(0);
+        w.u32(0);
+        w.u8(2);
+        w.u8(tag);
+        w.u32(2);
+        w.u32(0);
+        w.u32(0);
+        // Drivers: a undriven, b driven by node 1.
+        w.u8(0);
+        w.u8(1);
+        w.u32(1);
+        w.out
+    }
+
+    #[test]
+    fn unknown_gate_tag_is_rejected() {
+        let decode = |bytes: &[u8]| decode_netlist(&mut Reader { buf: bytes, at: 0 });
+        assert_eq!(decode(&gate_record(1)).unwrap().num_gates(), 1);
+        let err = decode(&gate_record(3)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unknown gate tag 3");
+    }
 }

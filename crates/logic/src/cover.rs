@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::cube::{mask, Cube};
+use crate::cube::Cube;
 
 /// A sum of cubes over a fixed number of variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,24 +159,6 @@ impl Cover {
         self.cubes = kept;
     }
 
-    /// Exhaustively enumerates covered minterms (for testing; exponential
-    /// in `num_vars`, caller should keep `num_vars` small).
-    pub fn enumerate_minterms(&self) -> Vec<u64> {
-        let m = mask(self.num_vars);
-        let mut out = Vec::new();
-        // Only sensible for small var counts.
-        assert!(self.num_vars <= 24, "enumerate_minterms is for tests");
-        for code in 0..=m {
-            if self.covers_point(code) {
-                out.push(code);
-            }
-            if code == m {
-                break;
-            }
-        }
-        out
-    }
-
     /// Renders the cover as a named sum of products.
     pub fn render_named(&self, names: &[String]) -> String {
         if self.cubes.is_empty() {
@@ -250,7 +232,8 @@ mod tests {
     #[test]
     fn minterm_enumeration() {
         let f = Cover::from_minterms(3, &[0, 7]);
-        assert_eq!(f.enumerate_minterms(), vec![0, 7]);
+        let covered: Vec<u64> = (0..8).filter(|&c| f.covers_point(c)).collect();
+        assert_eq!(covered, vec![0, 7]);
         assert_eq!(f.num_literals(), 6);
     }
 

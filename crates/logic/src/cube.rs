@@ -131,20 +131,6 @@ impl Cube {
         ((self.pos & other.neg) | (self.neg & other.pos)).count_ones()
     }
 
-    /// The consensus of two cubes, defined when their distance is 1:
-    /// drop the clashing variable, intersect the rest.
-    pub fn consensus(self, other: Cube) -> Option<Cube> {
-        let clash = (self.pos & other.neg) | (self.neg & other.pos);
-        if clash.count_ones() != 1 {
-            return None;
-        }
-        let c = Cube {
-            pos: (self.pos | other.pos) & !clash,
-            neg: (self.neg | other.neg) & !clash,
-        };
-        (!c.is_empty()).then_some(c)
-    }
-
     /// The positive or negative cofactor with respect to `var`: `None`
     /// if the cube requires the opposite value, otherwise the cube with
     /// the `var` literal dropped.
@@ -249,21 +235,6 @@ mod tests {
         assert!(a.intersect(b).is_empty());
         assert!(!a.intersects(b));
         assert_eq!(a.distance(b), 1);
-    }
-
-    #[test]
-    fn consensus_rules() {
-        // ab + a'c -> consensus bc.
-        let ab = Cube::literal(0, true).intersect(Cube::literal(1, true));
-        let a_c = Cube::literal(0, false).intersect(Cube::literal(2, true));
-        let cons = ab.consensus(a_c).unwrap();
-        assert_eq!(cons.get(0), None);
-        assert_eq!(cons.get(1), Some(true));
-        assert_eq!(cons.get(2), Some(true));
-        // Distance 2: no consensus.
-        let x = Cube::minterm(0b00, 2);
-        let y = Cube::minterm(0b11, 2);
-        assert_eq!(x.consensus(y), None);
     }
 
     #[test]

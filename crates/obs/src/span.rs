@@ -1,12 +1,12 @@
 //! Hierarchical spans with monotonic timestamps and pluggable sinks.
 //!
 //! A [`Tracer`] owns the clock epoch, the span-id allocator, the output
-//! [`Sink`], and the enable/verbosity gates. A [`SpanCtx`] is the cheap,
+//! [`Sink`], and the verbosity gate. A [`SpanCtx`] is the cheap,
 //! cloneable handle threaded through the pipeline: it carries the tracer,
 //! the request's [`TraceId`], and the parent span id. Opening a span on a
 //! disabled context is a single branch (an `Option` check plus one
-//! `AtomicBool` load), so instrumented code costs nothing when tracing is
-//! off.
+//! comparison against the tracer's fixed level), so instrumented code
+//! costs nothing when tracing is off.
 //!
 //! Each finished span is emitted as one JSON object per line:
 //!
@@ -24,7 +24,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -184,8 +184,7 @@ impl fmt::Debug for SinkHandle {
 }
 
 struct TracerInner {
-    enabled: AtomicBool,
-    level: AtomicU8,
+    level: u8,
     epoch: Instant,
     sink: SinkHandle,
     next_span: AtomicU64,
@@ -204,15 +203,15 @@ impl fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer emitting to `sink` at `level` (0 disables emission).
+    /// A tracer emitting to `sink` at `level` (0 disables emission). The
+    /// level is fixed for the tracer's lifetime.
     ///
     /// Verbosity levels: `1` traces requests and pipeline stages, `2`
     /// additionally traces each BFS level.
     pub fn new(level: u8, sink: SinkHandle) -> Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
-                enabled: AtomicBool::new(level > 0),
-                level: AtomicU8::new(level),
+                level,
                 epoch: Instant::now(),
                 sink,
                 next_span: AtomicU64::new(1),
@@ -220,15 +219,9 @@ impl Tracer {
         }
     }
 
-    /// Change the verbosity at runtime (0 disables).
-    pub fn set_level(&self, level: u8) {
-        self.inner.level.store(level, Ordering::Relaxed);
-        self.inner.enabled.store(level > 0, Ordering::Relaxed);
-    }
-
-    /// Current verbosity level.
+    /// The verbosity level.
     pub fn level(&self) -> u8 {
-        self.inner.level.load(Ordering::Relaxed)
+        self.inner.level
     }
 
     /// Open a root context for one request.
@@ -254,15 +247,12 @@ pub struct SpanCtx {
 
 impl SpanCtx {
     /// Is tracing live at `level` on this context? One `Option` check and
-    /// one relaxed atomic load — the entire cost of the disabled path.
+    /// one comparison — the entire cost of the disabled path.
     #[inline]
     pub fn enabled_at(&self, level: u8) -> bool {
         match &self.tracer {
             None => false,
-            Some(t) => {
-                t.inner.enabled.load(Ordering::Relaxed)
-                    && t.inner.level.load(Ordering::Relaxed) >= level
-            }
+            Some(t) => t.inner.level > 0 && t.inner.level >= level,
         }
     }
 
@@ -343,11 +333,6 @@ pub struct ActiveSpan {
 }
 
 impl ActiveSpan {
-    /// Is this span actually recording?
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
-    }
-
     /// A child context whose spans will point at this span as parent.
     /// Inert spans hand out a disabled context.
     pub fn ctx(&self) -> SpanCtx {
@@ -459,7 +444,6 @@ mod tests {
         let ctx = SpanCtx::default();
         assert!(!ctx.enabled_at(1));
         let span = ctx.span("noop");
-        assert!(!span.is_live());
         let child = span.ctx();
         assert!(!child.enabled_at(1));
         span.end(&[("k", FieldVal::U64(1))]);
@@ -498,17 +482,23 @@ mod tests {
 
     #[test]
     fn level_gates_verbose_spans() {
+        // Level 1 drops level-2 spans.
         let (tracer, ring) = ring_tracer(1);
         let root = tracer.root(TraceId::derive(1, 1));
-        let level = root.span_at(2, "bfs.level");
-        assert!(!level.is_live());
-        drop(level);
+        assert!(root.enabled_at(1) && !root.enabled_at(2));
+        root.span_at(2, "bfs.level").end(&[]);
         assert!(ring.lines().is_empty());
-        tracer.set_level(2);
+        // Level 2 emits them.
+        let (tracer, ring) = ring_tracer(2);
+        let root = tracer.root(TraceId::derive(1, 1));
         root.span_at(2, "bfs.level").end(&[]);
         assert_eq!(ring.lines().len(), 1);
-        tracer.set_level(0);
+        // Level 0 emits nothing at all.
+        let (tracer, ring) = ring_tracer(0);
+        let root = tracer.root(TraceId::derive(1, 1));
         assert!(!root.enabled_at(1));
+        root.span("request").end(&[]);
+        assert!(ring.lines().is_empty());
     }
 
     #[test]

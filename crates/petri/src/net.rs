@@ -190,18 +190,6 @@ impl PetriNet {
         self.place_pre[p.index()].is_empty() && self.place_post[p.index()].is_empty()
     }
 
-    /// A place is a *choice* place if more than one transition consumes
-    /// from it; the consumers are then in structural conflict.
-    pub fn is_choice_place(&self, p: PlaceId) -> bool {
-        self.place_post[p.index()].len() > 1
-    }
-
-    /// A place is a *merge* place if more than one transition produces
-    /// into it.
-    pub fn is_merge_place(&self, p: PlaceId) -> bool {
-        self.place_pre[p.index()].len() > 1
-    }
-
     /// Checks simple well-formedness used before simulation: every
     /// transition has at least one input place (source transitions would
     /// make the net unbounded and are rejected).
@@ -276,21 +264,6 @@ mod tests {
         assert_eq!(n.place_by_name("p0"), Some(p0));
         assert_eq!(n.transition_by_name("b"), Some(t1));
         assert_eq!(n.transition_by_name("zz"), None);
-    }
-
-    #[test]
-    fn choice_and_merge_classification() {
-        let mut n = PetriNet::new();
-        let p = n.add_place("p");
-        let a = n.add_transition("a");
-        let b = n.add_transition("b");
-        n.add_arc_pt(p, a).unwrap();
-        n.add_arc_pt(p, b).unwrap();
-        assert!(n.is_choice_place(p));
-        assert!(!n.is_merge_place(p));
-        n.add_arc_tp(a, p).unwrap();
-        n.add_arc_tp(b, p).unwrap();
-        assert!(n.is_merge_place(p));
     }
 
     #[test]

@@ -183,12 +183,6 @@ impl Stg {
         (0..self.signals.len()).map(SignalId::from_index)
     }
 
-    /// Changes the kind of an existing signal (e.g. to hide an output
-    /// when re-classifying interface signals).
-    pub fn set_signal_kind(&mut self, s: SignalId, kind: SignalKind) {
-        self.signals[s.index()].kind = kind;
-    }
-
     /// Declares a handshake channel with open (reshufflable) ordering.
     ///
     /// # Errors

@@ -249,28 +249,13 @@ impl Conn {
     }
 
     /// Writes one response on this connection, advertising
-    /// `Connection: keep-alive` unless `close` is set.
+    /// `Connection: keep-alive` unless `close` is set, with extra
+    /// response headers (`(name, value)` pairs, e.g. `X-Trace-Id`).
     ///
     /// # Errors
     ///
     /// Propagates socket write failures (including a vanished peer —
     /// `EPIPE` surfaces as an error because Rust ignores `SIGPIPE`).
-    pub fn write_response(
-        &mut self,
-        status: u16,
-        content_type: &str,
-        body: &[u8],
-        close: bool,
-    ) -> io::Result<()> {
-        self.write_response_with(status, content_type, &[], body, close)
-    }
-
-    /// Like [`Conn::write_response`], with extra response headers
-    /// (`(name, value)` pairs, e.g. `X-Trace-Id`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
     pub fn write_response_with(
         &mut self,
         status: u16,
@@ -300,24 +285,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response to any sink (a [`Conn`] wraps this for its own
+/// Writes one response to any sink, with extra response headers
+/// appended to the standard set (a [`Conn`] wraps this for its own
 /// stream; the acceptor uses it directly to shed load with 503).
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> io::Result<()> {
-    write_response_with(stream, status, content_type, &[], body, close)
-}
-
-/// [`write_response`] with extra response headers appended to the
-/// standard set.
 ///
 /// # Errors
 ///

@@ -94,7 +94,7 @@ use engine::{error_body, Engine, EngineConfig, EngineState, Response, Service};
 
 pub use client::{ClientConn, ClientResponse};
 pub use flight::{FlightResult, Follower, Join, LeaderGuard, SingleFlight};
-pub use http::{write_response, write_response_with, Conn, HttpError, Request};
+pub use http::{write_response_with, Conn, HttpError, Request};
 pub use reshuffle_obs::{RingSink, SinkHandle, TraceId};
 pub use router::{Router, RouterConfig};
 

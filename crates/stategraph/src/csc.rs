@@ -1,4 +1,4 @@
-//! Unique and Complete State Coding (USC/CSC) analysis.
+//! Complete State Coding (CSC) analysis.
 //!
 //! A consistent SG has *CSC* iff every pair of states with equal binary
 //! codes enables the same set of non-input signal events (Section 2).
@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use crate::sg::{StateGraph, StateId};
 
-/// A pair of states witnessing a coding conflict.
+/// A pair of equally-coded states witnessing a CSC conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodingConflict {
     /// First state (lower id).
@@ -18,54 +18,29 @@ pub struct CodingConflict {
     pub b: StateId,
     /// The shared binary code.
     pub code: u64,
-    /// True if the pair also violates CSC (different non-input
-    /// excitation); false for pure USC conflicts.
-    pub csc: bool,
 }
 
-/// Report of all USC/CSC conflicts of a state graph.
+/// Report of all CSC conflicts of a state graph.
 #[derive(Debug, Clone, Default)]
 pub struct CscReport {
-    /// All conflicting pairs (USC conflicts; `csc` marks CSC ones).
+    /// All CSC-violating pairs: equal codes, different non-input
+    /// excitation.
     pub conflicts: Vec<CodingConflict>,
 }
 
 impl CscReport {
     /// Number of CSC-violating pairs.
     pub fn num_csc_conflicts(&self) -> usize {
-        self.conflicts.iter().filter(|c| c.csc).count()
-    }
-
-    /// Number of USC-violating pairs (includes CSC pairs).
-    pub fn num_usc_conflicts(&self) -> usize {
         self.conflicts.len()
     }
 
     /// True if the graph satisfies CSC.
     pub fn has_csc(&self) -> bool {
-        self.num_csc_conflicts() == 0
-    }
-
-    /// True if the graph satisfies USC (stronger than CSC).
-    pub fn has_usc(&self) -> bool {
         self.conflicts.is_empty()
-    }
-
-    /// The number of distinct binary codes involved in CSC conflicts.
-    pub fn num_conflicting_codes(&self) -> usize {
-        let mut codes: Vec<u64> = self
-            .conflicts
-            .iter()
-            .filter(|c| c.csc)
-            .map(|c| c.code)
-            .collect();
-        codes.sort_unstable();
-        codes.dedup();
-        codes.len()
     }
 }
 
-/// Computes all USC/CSC conflicts by bucketing states on their codes.
+/// Computes all CSC conflicts by bucketing states on their codes.
 pub fn analyze_csc(sg: &StateGraph) -> CscReport {
     let mut buckets: HashMap<u64, Vec<StateId>> = HashMap::new();
     for s in sg.state_ids() {
@@ -76,16 +51,19 @@ pub fn analyze_csc(sg: &StateGraph) -> CscReport {
         if states.len() < 2 {
             continue;
         }
+        let excited: Vec<_> = states
+            .iter()
+            .map(|&s| sg.enabled_noninput_edges(s))
+            .collect();
         for (i, &a) in states.iter().enumerate() {
-            let ea = sg.enabled_noninput_edges(a);
-            for &b in &states[i + 1..] {
-                let eb = sg.enabled_noninput_edges(b);
-                conflicts.push(CodingConflict {
-                    a: a.min(b),
-                    b: a.max(b),
-                    code,
-                    csc: ea != eb,
-                });
+            for (j, &b) in states.iter().enumerate().skip(i + 1) {
+                if excited[i] != excited[j] {
+                    conflicts.push(CodingConflict {
+                        a: a.min(b),
+                        b: a.max(b),
+                        code,
+                    });
+                }
             }
         }
     }
@@ -120,7 +98,7 @@ Req+ Ack+
         let rep = analyze_csc(&sg);
         assert!(!rep.has_csc());
         assert_eq!(rep.num_csc_conflicts(), 1);
-        let c = rep.conflicts.iter().find(|c| c.csc).unwrap();
+        let c = rep.conflicts[0];
         // One of the two states enables Ack- (an output), the other not.
         let ea = sg.enabled_noninput_edges(c.a);
         let eb = sg.enabled_noninput_edges(c.b);
@@ -144,8 +122,7 @@ b- a+
         let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
         let rep = analyze_csc(&sg);
         assert!(rep.has_csc());
-        assert!(rep.has_usc());
-        assert_eq!(rep.num_conflicting_codes(), 0);
+        assert!(rep.conflicts.is_empty());
     }
 
     #[test]
@@ -172,10 +149,13 @@ b-/2 a+
         let sg = build_state_graph(&parse_g(src).unwrap()).unwrap();
         let rep = analyze_csc(&sg);
         // Eight states, four distinct codes, each shared by two states
-        // with identical output excitation -> USC conflicts, no CSC.
+        // with identical output excitation: USC fails, CSC holds.
         assert_eq!(sg.num_states(), 8);
-        assert!(rep.has_csc(), "{:?}", rep.conflicts);
-        assert!(!rep.has_usc());
-        assert_eq!(rep.num_usc_conflicts(), 4);
+        let mut codes = sg.codes().to_vec();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), 4);
+        assert!(rep.conflicts.is_empty(), "{:?}", rep.conflicts);
+        assert!(rep.has_csc());
     }
 }

@@ -9,8 +9,7 @@
 //!   consistent binary encoding;
 //! * [`props`] — determinism, commutativity, output persistency
 //!   (together: speed independence);
-//! * [`csc`] — Unique/Complete State Coding conflict detection;
-//! * [`er`] — excitation regions and their minimal states;
+//! * [`csc`] — Complete State Coding conflict detection;
 //! * [`conc`] — the concurrency relation (state diamonds);
 //! * [`restrict`] — incremental re-derivation after serializing rewrites;
 //! * [`nextstate`] — implied-value tables feeding logic synthesis.
@@ -40,7 +39,6 @@
 mod build;
 pub mod conc;
 pub mod csc;
-pub mod er;
 mod error;
 pub mod nextstate;
 pub mod props;

@@ -7,7 +7,7 @@
 //! implied values are *CSC-conflicting* for `a`; logic cannot be derived
 //! for them, and the reduction cost function penalizes them.
 
-use reshuffle_petri::{Polarity, SignalEdge, SignalId, SignalKind};
+use reshuffle_petri::{Polarity, SignalEdge, SignalId};
 
 use crate::sg::StateGraph;
 
@@ -120,15 +120,6 @@ pub fn next_state_table(sg: &StateGraph, sig: SignalId) -> NextStateTable {
     }
 }
 
-/// Builds next-state tables for every non-input signal.
-pub fn all_next_state_tables(sg: &StateGraph) -> Vec<NextStateTable> {
-    (0..sg.num_signals())
-        .map(SignalId::from_index)
-        .filter(|&s| sg.signal(s).kind != SignalKind::Input)
-        .map(|s| next_state_table(sg, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,25 +217,5 @@ Req+ Ack+
         assert!(!t.on.contains(&c) && !t.off.contains(&c), "{t:?}");
         assert!(t.on.windows(2).all(|w| w[0] < w[1]), "{t:?}");
         assert!(t.off.windows(2).all(|w| w[0] < w[1]), "{t:?}");
-    }
-
-    #[test]
-    fn tables_only_for_noninput() {
-        const FIG1: &str = "\
-.model fig1
-.inputs Req
-.outputs Ack
-.graph
-Ack+ Req-
-Req- Req+ Ack-
-Ack- Ack+
-Req+ Ack+
-.marking { <Req+,Ack+> <Ack-,Ack+> }
-.end
-";
-        let sg = build_state_graph(&parse_g(FIG1).unwrap()).unwrap();
-        let tables = all_next_state_tables(&sg);
-        assert_eq!(tables.len(), 1);
-        assert_eq!(sg.signal(tables[0].signal).name, "Ack");
     }
 }

@@ -4,9 +4,8 @@
 //! signal codes and whose arcs are labelled with *events*. An event is a
 //! specific STG transition (so two instances `a+` and `a+/2` are two
 //! events with the same [`SignalEdge`] label); most properties
-//! (determinism, persistency, concurrency, excitation regions) are
-//! defined at the *edge* level, merging instances, exactly as in the
-//! paper.
+//! (determinism, persistency, concurrency) are defined at the *edge*
+//! level, merging instances, exactly as in the paper.
 //!
 //! # Storage layout
 //!
@@ -30,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use reshuffle_petri::{Marking, Signal, SignalEdge, SignalId, SignalKind};
+use reshuffle_petri::{Marking, Signal, SignalEdge, SignalId};
 
 use crate::error::{Result, SgError};
 
@@ -401,22 +400,6 @@ impl StateGraph {
             .map(|i| EventId(i as u32))
     }
 
-    /// True if the event is an edge of an input signal.
-    pub fn is_input_event(&self, e: EventId) -> bool {
-        match self.events[e.index()].edge {
-            Some(edge) => self.signals[edge.signal.index()].kind == SignalKind::Input,
-            None => false,
-        }
-    }
-
-    /// True if the event is an edge of an output or internal signal.
-    pub fn is_noninput_event(&self, e: EventId) -> bool {
-        match self.events[e.index()].edge {
-            Some(edge) => self.signals[edge.signal.index()].kind.is_noninput(),
-            None => false,
-        }
-    }
-
     /// The initial state.
     pub fn initial(&self) -> StateId {
         self.initial
@@ -527,17 +510,6 @@ impl StateGraph {
             .collect()
     }
 
-    /// Computes the predecessor lists (arcs reversed).
-    pub fn predecessors(&self) -> Vec<Vec<(EventId, StateId)>> {
-        let mut pred: Vec<Vec<(EventId, StateId)>> = vec![Vec::new(); self.num_states()];
-        for s in self.state_ids() {
-            for (e, t) in self.succ(s) {
-                pred[t as usize].push((e, s));
-            }
-        }
-        pred
-    }
-
     /// Total number of arcs.
     pub fn num_arcs(&self) -> usize {
         self.arc_events.len()
@@ -599,88 +571,6 @@ impl StateGraph {
         order
     }
 
-    /// Builds a new graph keeping only states marked `true` in `keep`
-    /// and only arcs accepted by `keep_arc(src, event, dst)`. States are
-    /// renumbered densely; the initial state must be kept. Interned
-    /// markings of kept states carry over (re-interned densely).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgError::Invalid`] if the initial state is dropped or
-    /// if a kept arc points to a dropped state.
-    pub fn filtered(
-        &self,
-        keep: &[bool],
-        mut keep_arc: impl FnMut(StateId, EventId, StateId) -> bool,
-    ) -> Result<StateGraph> {
-        if !keep[self.initial as usize] {
-            return Err(SgError::Invalid("initial state dropped".into()));
-        }
-        let mut renum: Vec<u32> = vec![u32::MAX; self.num_states()];
-        let mut next = 0u32;
-        for s in self.state_ids() {
-            if keep[s as usize] {
-                renum[s as usize] = next;
-                next += 1;
-            }
-        }
-        let mut codes = Vec::with_capacity(next as usize);
-        let mut succ_offsets = Vec::with_capacity(next as usize + 1);
-        let mut arc_events = Vec::new();
-        let mut arc_targets = Vec::new();
-        let mut marking_ids = Vec::with_capacity(if self.marking_ids.is_empty() {
-            0
-        } else {
-            next as usize
-        });
-        let mut markings = Vec::new();
-        let mut remap: HashMap<u32, u32> = HashMap::new();
-        succ_offsets.push(0);
-        for s in self.state_ids() {
-            if !keep[s as usize] {
-                continue;
-            }
-            codes.push(self.codes[s as usize]);
-            for (e, t) in self.succ(s) {
-                if keep_arc(s, e, t) {
-                    if renum[t as usize] == u32::MAX {
-                        return Err(SgError::Invalid(format!(
-                            "kept arc {s} -{}-> {t} targets a dropped state",
-                            self.event(e).label
-                        )));
-                    }
-                    arc_events.push(e);
-                    arc_targets.push(renum[t as usize]);
-                }
-            }
-            succ_offsets.push(arc_events.len() as u32);
-            if !self.marking_ids.is_empty() {
-                let old = self.marking_ids[s as usize];
-                if old == NO_MARKING {
-                    marking_ids.push(NO_MARKING);
-                } else {
-                    let id = *remap.entry(old).or_insert_with(|| {
-                        markings.push(self.markings[old as usize].clone());
-                        (markings.len() - 1) as u32
-                    });
-                    marking_ids.push(id);
-                }
-            }
-        }
-        StateGraph::from_csr(
-            self.name.clone(),
-            self.signals.clone(),
-            self.events.clone(),
-            codes,
-            succ_offsets,
-            arc_events,
-            arc_targets,
-            marking_ids,
-            markings,
-            renum[self.initial as usize],
-        )
-    }
-
     /// Renders the code of state `s` with one char per signal, `*`-marked
     /// for enabled signals, in signal order — like Fig. 1(d): `1*0*`.
     pub fn render_state(&self, s: StateId) -> String {
@@ -701,7 +591,7 @@ impl StateGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reshuffle_petri::{PlaceId, Polarity};
+    use reshuffle_petri::{PlaceId, Polarity, SignalKind};
 
     fn sig(name: &str, kind: SignalKind) -> Signal {
         Signal {
@@ -765,8 +655,6 @@ mod tests {
         assert!(g.value(3, SignalId(0)));
         assert_eq!(g.step(0, EventId(0)), Some(1));
         assert_eq!(g.step(1, EventId(0)), None);
-        assert!(g.is_input_event(EventId(0)));
-        assert!(g.is_noninput_event(EventId(1)));
         assert_eq!(g.deadlock_states(), vec![3]);
         assert_eq!(g.event_by_label("b+"), Some(EventId(1)));
     }
@@ -785,14 +673,6 @@ mod tests {
         assert_eq!(collected, vec![(EventId(0), 1), (EventId(1), 2)]);
         assert!(g.succ(3).is_empty());
         assert!(!format!("{:?}", g.succ(0)).is_empty());
-    }
-
-    #[test]
-    fn predecessors_mirror_successors() {
-        let g = diamond();
-        let pred = g.predecessors();
-        assert_eq!(pred[0], vec![]);
-        assert_eq!(pred[3].len(), 2);
     }
 
     #[test]
@@ -830,26 +710,30 @@ mod tests {
     #[test]
     fn fingerprint_differs_on_arc_removal() {
         let g1 = diamond();
-        let keep = vec![true; 4];
-        let g2 = g1
-            .filtered(&keep, |s, e, _| !(s == 0 && e == EventId(1)))
-            .unwrap();
+        // The diamond without its arc 0 -b+-> 2.
+        let states = g1
+            .state_ids()
+            .map(|s| State {
+                code: g1.code(s),
+                succ: g1
+                    .succ(s)
+                    .iter()
+                    .filter(|&(e, _)| !(s == 0 && e == EventId(1)))
+                    .collect(),
+                marking: None,
+            })
+            .collect();
+        let g2 = StateGraph::from_parts(
+            "diamond",
+            g1.signals().to_vec(),
+            g1.events().to_vec(),
+            states,
+            0,
+        )
+        .unwrap();
         // Dropping state 2's incoming arc leaves it unreachable but kept;
         // fingerprints must differ.
         assert_ne!(g1.fingerprint(), g2.fingerprint());
-    }
-
-    #[test]
-    fn filtered_renumbers() {
-        let g = diamond();
-        let keep = vec![true, true, false, true];
-        let r = g.filtered(&keep, |_, _, _| true).unwrap_err();
-        // arc 0 -b+-> 2 targets dropped state -> error unless filtered out
-        assert!(matches!(r, SgError::Invalid(_)));
-        let r = g.filtered(&keep, |_, _, t| t != 2).unwrap();
-        assert_eq!(r.num_states(), 3);
-        assert_eq!(r.num_arcs(), 2);
-        assert_eq!(r.code(2), 0b11);
     }
 
     #[test]
@@ -896,12 +780,6 @@ mod tests {
         // States 0 and 2 share one arena entry.
         assert_eq!(g.marking_id(0), g.marking_id(2));
         assert_ne!(g.marking_id(0), g.marking_id(1));
-        // Filtering preserves the interned markings of kept states.
-        let f = g
-            .filtered(&[true, true, true, true], |_, _, _| true)
-            .unwrap();
-        assert_eq!(f.num_interned_markings(), 2);
-        assert_eq!(f.marking_of(2), Some(&m0));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! CSC resolution by state-signal insertion.
 //!
 //! petrify resolves CSC with region-based bisection of the state graph;
-//! we implement the documented substitution (DESIGN.md, substitution 3):
-//! a search over STG-level *serial transition insertions*. A candidate
-//! inserts `csc_k+` in series after event `x` and `csc_k-` after event
-//! `y` (never delaying input transitions); it is kept if the resulting
-//! STG is consistent, speed-independent, interface-preserving by
-//! construction, and strictly reduces the number of CSC conflicts.
-//! Candidates are ranked by (remaining conflicts, literal estimate).
+//! we substitute a search over STG-level *serial transition
+//! insertions*. A candidate inserts `csc_k+` in series after event `x`
+//! and `csc_k-` after event `y` (never delaying input transitions); it
+//! is kept if the resulting STG is consistent, speed-independent,
+//! interface-preserving by construction, and strictly reduces the
+//! number of CSC conflicts. Candidates are ranked by (remaining
+//! conflicts, literal estimate).
 
 use reshuffle_petri::structural::insert_series_transition;
 use reshuffle_petri::{Polarity, SignalKind, Stg, TransitionId};

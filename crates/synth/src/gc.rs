@@ -5,6 +5,8 @@
 //! rising transition (don't care wherever the signal is high); dually
 //! for reset. This is the implementation style of the paper's Fig. 3(c).
 
+use std::collections::HashSet;
+
 use reshuffle_logic::{complement, factor, minimize, Cover};
 use reshuffle_petri::{Polarity, SignalEdge, SignalId, SignalKind};
 use reshuffle_sg::StateGraph;
@@ -74,15 +76,12 @@ pub fn derive_gc_function(sg: &StateGraph, signal: SignalId) -> Result<GcFunctio
             set_off.push(code);
         }
     }
-    for (name, on, off) in [("set", &set_on, &set_off), ("reset", &reset_on, &reset_off)] {
-        let mut overlap = 0;
-        for c in on.iter() {
-            if off.contains(c) {
-                overlap += 1;
-            }
-        }
+    for (on, off) in [(&set_on, &set_off), (&reset_on, &reset_off)] {
+        // Every exciting state whose code also stabilizes the signal is
+        // one conflict, so a repeated on-code counts once per state.
+        let off: HashSet<u64> = off.iter().copied().collect();
+        let overlap = on.iter().filter(|c| off.contains(c)).count();
         if overlap > 0 {
-            let _ = name;
             return Err(SynthError::CscViolation {
                 signal: sg.signal(signal).name.clone(),
                 conflicts: overlap,
@@ -155,7 +154,6 @@ fn wire_pair(set: &Cover, reset: &Cover) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::Library;
     use reshuffle_petri::parse_g;
     use reshuffle_sg::build_state_graph;
 
@@ -177,7 +175,7 @@ b- a+
         let imp = synthesize_gc(&sg).unwrap();
         let b = sg.signal_by_name("b").unwrap();
         assert!(imp.netlist.is_wire(b));
-        assert_eq!(imp.netlist.area(&Library::default()), 0.0);
+        assert_eq!(imp.netlist.num_gates(), 0);
     }
 
     #[test]
@@ -227,5 +225,55 @@ Req+ Ack+
 ";
         let sg = build_state_graph(&parse_g(FIG1).unwrap()).unwrap();
         assert!(synthesize_gc(&sg).is_err());
+        let ack = sg.signal_by_name("Ack").unwrap();
+        match derive_gc_function(&sg, ack) {
+            Err(SynthError::CscViolation { signal, conflicts }) => {
+                assert_eq!((signal.as_str(), conflicts), ("Ack", 1));
+            }
+            other => panic!("expected a CSC violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn conflict_count_counts_each_exciting_state() {
+        use reshuffle_petri::Signal;
+        use reshuffle_sg::{EventId, EventInfo, State};
+        // Three states share code 00: two excite b+, one does not. Each
+        // exciting state is one conflict, so the count is 2, not 1.
+        let signals = vec![
+            Signal {
+                name: "a".into(),
+                kind: SignalKind::Input,
+            },
+            Signal {
+                name: "b".into(),
+                kind: SignalKind::Output,
+            },
+        ];
+        let edge = |signal, polarity| EventInfo {
+            label: String::new(),
+            edge: Some(SignalEdge { signal, polarity }),
+        };
+        let events = vec![
+            edge(SignalId(0), Polarity::Rise),
+            edge(SignalId(1), Polarity::Rise),
+        ];
+        let state = |code, succ| State {
+            code,
+            succ,
+            marking: None,
+        };
+        let states = vec![
+            state(0b00, vec![(EventId(1), 3)]),
+            state(0b00, vec![(EventId(1), 3)]),
+            state(0b00, vec![(EventId(0), 4)]),
+            state(0b10, vec![]),
+            state(0b01, vec![]),
+        ];
+        let sg = StateGraph::from_parts("dup", signals, events, states, 0).unwrap();
+        match derive_gc_function(&sg, SignalId(1)) {
+            Err(SynthError::CscViolation { conflicts, .. }) => assert_eq!(conflicts, 2),
+            other => panic!("expected a CSC violation, got {other:?}"),
+        }
     }
 }

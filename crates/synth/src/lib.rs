@@ -7,11 +7,13 @@
 //!
 //! * [`derive_all_functions`] / [`literal_estimate`] — next-state logic
 //!   (the estimate also drives the concurrency-reduction cost function);
-//! * [`resolve_csc`] — state-signal insertion (DESIGN.md substitution 3);
+//! * [`resolve_csc`] — state-signal insertion, by a search over serial
+//!   transition insertions in the STG (in place of petrify's
+//!   region-based bisection);
 //! * [`synthesize_complex_gates`] — complex-gate style (Fig. 3(d));
 //! * [`synthesize_gc`] — generalized-C style (Fig. 3(c));
-//! * [`Library`]/[`Netlist`] — gate library, mapped circuits, area and
-//!   network delays;
+//! * [`Netlist`] — mapped circuits over inverters, 2-input AND/OR gates
+//!   and generalized-C latches;
 //! * [`verify_against_sg`] — implementation-vs-specification check.
 //!
 //! # Example
@@ -19,7 +21,7 @@
 //! ```
 //! use reshuffle_petri::parse_g;
 //! use reshuffle_sg::build_state_graph;
-//! use reshuffle_synth::{synthesize_complex_gates, verify_against_sg, Library};
+//! use reshuffle_synth::{synthesize_complex_gates, verify_against_sg};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let stg = parse_g(
@@ -29,7 +31,7 @@
 //! let sg = build_state_graph(&stg)?;
 //! let imp = synthesize_complex_gates(&sg)?;
 //! verify_against_sg(&sg, &imp.netlist)?;
-//! assert_eq!(imp.netlist.area(&Library::default()), 0.0); // a wire
+//! assert_eq!(imp.netlist.num_gates(), 0); // a wire
 //! # Ok(())
 //! # }
 //! ```
@@ -41,7 +43,6 @@ mod csc_insert;
 mod error;
 mod func;
 mod gc;
-pub mod library;
 pub mod mapping;
 pub mod netlist;
 pub mod verify;
@@ -55,6 +56,5 @@ pub use func::{
     derive_all_functions, derive_function, literal_estimate, ConflictPolicy, SignalFunction,
 };
 pub use gc::{derive_gc_function, synthesize_gc, GcFunction, GcImpl};
-pub use library::{GateType, Library};
-pub use netlist::{Netlist, Node, NodeId};
+pub use netlist::{GateType, Netlist, Node, NodeId};
 pub use verify::{check_against_sg, verify_against_sg, verify_complete, Mismatch};

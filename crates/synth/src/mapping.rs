@@ -10,8 +10,7 @@ use std::collections::HashMap;
 use reshuffle_logic::Expr;
 use reshuffle_petri::SignalId;
 
-use crate::library::GateType;
-use crate::netlist::{Netlist, Node, NodeId};
+use crate::netlist::{GateType, Netlist, Node, NodeId};
 
 /// Shared per-netlist mapping state: signal references and inverters.
 #[derive(Debug, Default)]
@@ -85,7 +84,6 @@ impl Mapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::Library;
     use reshuffle_petri::{Signal, SignalKind};
 
     fn signals(n: usize) -> Vec<Signal> {
@@ -108,9 +106,18 @@ mod tests {
         let e = Expr::and((0..4).map(|v| Expr::Lit(v, true)).collect());
         let root = m.map_expr(&mut nl, &e);
         nl.set_driver(SignalId(4), root).unwrap();
-        // 4-input AND = 3 AND2 gates, depth 2 (balanced).
+        // 4-input AND = 3 AND2 gates, depth 2 (balanced): the root ANDs
+        // two AND2 gates over the literals.
         assert_eq!(nl.num_gates(), 3);
-        assert_eq!(nl.depth(SignalId(4)), 2);
+        let gate = |n: NodeId| match &nl.nodes()[n.0 as usize] {
+            Node::Gate(GateType::And2, ins) => ins.clone(),
+            other => panic!("expected an AND2, got {other:?}"),
+        };
+        for kid in gate(root) {
+            for leaf in gate(kid) {
+                assert!(matches!(nl.nodes()[leaf.0 as usize], Node::SignalRef(_)));
+            }
+        }
         // Evaluates correctly.
         assert_eq!(nl.next_code(0b01111) & 0b10000, 0b10000);
         assert_eq!(nl.next_code(0b00111) & 0b10000, 0);
@@ -133,9 +140,7 @@ mod tests {
             .filter(|n| matches!(n, Node::Gate(GateType::Inv, _)))
             .count();
         assert_eq!(inv_count, 2); // x0' and x1', not three.
-        let lib = Library::default();
-        // 2 INV + 2 AND + 1 OR.
-        assert_eq!(nl.area(&lib), 2.0 * 16.0 + 3.0 * 32.0);
+        assert_eq!(nl.num_gates(), 5); // 2 INV + 2 AND + 1 OR.
     }
 
     #[test]
@@ -145,7 +150,7 @@ mod tests {
         let root = m.map_expr(&mut nl, &Expr::Lit(0, true));
         nl.set_driver(SignalId(1), root).unwrap();
         assert!(nl.is_wire(SignalId(1)));
-        assert_eq!(nl.area(&Library::default()), 0.0);
+        assert_eq!(nl.num_gates(), 0);
     }
 
     #[test]

@@ -1,17 +1,37 @@
 //! Gate-level netlists for speed-independent controllers.
 //!
-//! A [`Netlist`] drives each non-input signal with a DAG of library
+//! A [`Netlist`] drives each non-input signal with a DAG of [`GateType`]
 //! gates over *signal values* (inputs and fed-back outputs). Sequential
-//! behaviour comes from C-elements and from generalized-C latches
-//! ([`Node::GcLatch`]), or implicitly from combinational feedback
-//! (a complex gate whose function depends on its own output).
+//! behaviour comes from generalized-C latches ([`Node::GcLatch`]), or
+//! implicitly from combinational feedback (a complex gate whose
+//! function depends on its own output).
 
 use std::fmt;
 
 use reshuffle_petri::{Signal, SignalId, SignalKind};
 
 use crate::error::{Result, SynthError};
-use crate::library::{GateType, Library};
+
+/// Combinational primitives available to the mapper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GateType {
+    /// Inverter.
+    Inv,
+    /// 2-input AND.
+    And2,
+    /// 2-input OR.
+    Or2,
+}
+
+impl GateType {
+    /// Number of logic inputs.
+    pub fn arity(self) -> usize {
+        match self {
+            GateType::Inv => 1,
+            _ => 2,
+        }
+    }
+}
 
 /// Index of a node within a netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,19 +156,6 @@ impl Netlist {
         }
     }
 
-    /// Total area under `lib`. Wires (bare `SignalRef` drivers) cost 0.
-    pub fn area(&self, lib: &Library) -> f64 {
-        let mut total = 0.0;
-        for node in &self.nodes {
-            total += match node {
-                Node::SignalRef(_) | Node::Const(_) => 0.0,
-                Node::Gate(g, _) => lib.area(*g),
-                Node::GcLatch { .. } => lib.gc_core_area,
-            };
-        }
-        total
-    }
-
     /// Number of gates (excluding wires and constants).
     pub fn num_gates(&self) -> usize {
         self.nodes
@@ -190,11 +197,8 @@ impl Netlist {
                     let a = vals[ins[0].0 as usize];
                     match g {
                         GateType::Inv => !a,
+                        GateType::And2 => a & vals[ins[1].0 as usize],
                         GateType::Or2 => a | vals[ins[1].0 as usize],
-                        // The mapper never emits a standalone C2 (a
-                        // C-element's hold state is a `GcLatch`); as a
-                        // plain node it evaluates as AND.
-                        GateType::And2 | GateType::C2 => a & vals[ins[1].0 as usize],
                     }
                 }
                 // Rises on set, falls on reset, otherwise holds.
@@ -203,51 +207,6 @@ impl Netlist {
                 }
             };
             vals.push(v);
-        }
-    }
-
-    /// Depth (in gates) of the network driving signal `s`; wires are 0.
-    /// Sequential latches count as one gate of their own.
-    pub fn depth(&self, s: SignalId) -> usize {
-        match self.drivers[s.index()] {
-            None => 0,
-            Some(n) => self.node_depth(n),
-        }
-    }
-
-    fn node_depth(&self, n: NodeId) -> usize {
-        match &self.nodes[n.0 as usize] {
-            Node::SignalRef(_) | Node::Const(_) => 0,
-            Node::Gate(_, ins) => 1 + ins.iter().map(|&i| self.node_depth(i)).max().unwrap_or(0),
-            Node::GcLatch { set, reset, .. } => {
-                1 + self.node_depth(*set).max(self.node_depth(*reset))
-            }
-        }
-    }
-
-    /// Worst-case propagation delay of the network driving `s`, with
-    /// combinational gates costing `lib.comb_delay` and sequential ones
-    /// `lib.seq_delay`. Wires cost 0.
-    pub fn network_delay(&self, s: SignalId, lib: &Library) -> f64 {
-        match self.drivers[s.index()] {
-            None => 0.0,
-            Some(n) => self.node_delay(n, lib),
-        }
-    }
-
-    fn node_delay(&self, n: NodeId, lib: &Library) -> f64 {
-        match &self.nodes[n.0 as usize] {
-            Node::SignalRef(_) | Node::Const(_) => 0.0,
-            Node::Gate(g, ins) => {
-                lib.delay(*g)
-                    + ins
-                        .iter()
-                        .map(|&i| self.node_delay(i, lib))
-                        .fold(0.0, f64::max)
-            }
-            Node::GcLatch { set, reset, .. } => {
-                lib.seq_delay + self.node_delay(*set, lib).max(self.node_delay(*reset, lib))
-            }
         }
     }
 
@@ -276,7 +235,6 @@ impl Netlist {
                     GateType::Inv => format!("{}'", parts[0]),
                     GateType::And2 => format!("({} & {})", parts[0], parts[1]),
                     GateType::Or2 => format!("({} | {})", parts[0], parts[1]),
-                    GateType::C2 => format!("C({}, {})", parts[0], parts[1]),
                 }
             }
             Node::GcLatch { set, reset, .. } => format!(
@@ -317,8 +275,7 @@ mod tests {
         let a_ref = nl.add(Node::SignalRef(SignalId(0)));
         nl.set_driver(SignalId(1), a_ref).unwrap();
         assert!(nl.is_wire(SignalId(1)));
-        assert_eq!(nl.area(&Library::default()), 0.0);
-        assert_eq!(nl.depth(SignalId(1)), 0);
+        assert_eq!(nl.num_gates(), 0);
         // b follows a.
         assert_eq!(nl.next_code(0b01) & 0b10, 0b10);
         assert_eq!(nl.next_code(0b00) & 0b10, 0b00);
@@ -333,10 +290,8 @@ mod tests {
         let b_ref = nl.add(Node::SignalRef(SignalId(1)));
         let or = nl.add(Node::Gate(GateType::Or2, vec![a_ref, b_ref]));
         nl.set_driver(SignalId(1), or).unwrap();
-        let lib = Library::default();
-        assert_eq!(nl.area(&lib), 32.0);
+        // Area in gates: the one OR.
         assert_eq!(nl.num_gates(), 1);
-        assert_eq!(nl.depth(SignalId(1)), 1);
         // Once b=1, it stays 1 (OR feedback).
         assert_eq!(nl.next_code(0b10) & 0b10, 0b10);
         assert_eq!(nl.next_code(0b01) & 0b10, 0b10);
@@ -357,11 +312,15 @@ mod tests {
         // set when a=1, reset when a=0: b follows a.
         assert_eq!(nl.next_code(0b01) & 0b10, 0b10);
         assert_eq!(nl.next_code(0b10) & 0b10, 0b00);
-        let lib = Library::default();
-        assert_eq!(nl.area(&lib), lib.inv_area + lib.gc_core_area);
-        // Latch depth includes its networks.
-        assert_eq!(nl.depth(SignalId(1)), 2);
-        assert!(nl.network_delay(SignalId(1), &lib) > lib.seq_delay);
+        // The inverter and the latch core.
+        assert_eq!(nl.num_gates(), 2);
+    }
+
+    #[test]
+    fn gate_arity() {
+        assert_eq!(GateType::Inv.arity(), 1);
+        assert_eq!(GateType::And2.arity(), 2);
+        assert_eq!(GateType::Or2.arity(), 2);
     }
 
     #[test]

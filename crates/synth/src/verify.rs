@@ -150,7 +150,7 @@ mod tests {
     use super::*;
     use crate::complexgate::synthesize_complex_gates;
     use crate::gc::synthesize_gc;
-    use crate::library::GateType;
+    use crate::netlist::GateType;
     use crate::netlist::Node;
     use reshuffle_petri::parse_g;
     use reshuffle_sg::build_state_graph;

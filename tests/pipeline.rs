@@ -253,7 +253,7 @@ fn eval_one(nl: &Netlist, n: NodeId, code: u64) -> bool {
             let a = eval_one(nl, ins[0], code);
             match g {
                 GateType::Inv => !a,
-                GateType::And2 | GateType::C2 => a && eval_one(nl, ins[1], code),
+                GateType::And2 => a && eval_one(nl, ins[1], code),
                 GateType::Or2 => a || eval_one(nl, ins[1], code),
             }
         }
