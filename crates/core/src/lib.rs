@@ -916,21 +916,32 @@ Go- Req~
 
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
-        let cache = SynthCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
         let base = PipelineOptions::default();
-        let run = |src: &str, opts: &PipelineOptions| {
+        let reduce = base.clone().with_reduce(ReduceOptions::default());
+        let run_in = |cache: &SynthCache, src: &str, opts: &PipelineOptions| {
             Pipeline::from_g(src)
                 .unwrap()
-                .with_cache(&cache)
+                .with_cache(cache)
                 .run(opts)
                 .unwrap();
         };
-        // Three distinct keys into a 2-entry cache: the coldest goes.
+        // Each entry's charge, measured alone.
+        let charge = |src: &str, opts: &PipelineOptions| {
+            let alone = SynthCache::new();
+            run_in(&alone, src, opts);
+            alone.bytes()
+        };
+        let xyz = charge(XYZ_G, &base);
+        let total = charge(TOGGLE_G, &base) + xyz + charge(MFIG1_G, &reduce);
+        // Any two of the three entries fit, all three do not.
+        let cache = SynthCache::with_byte_bound(total - 1);
+        assert_eq!(cache.byte_bound(), Some(total - 1));
+        let run = |src: &str, opts: &PipelineOptions| run_in(&cache, src, opts);
+        // Three distinct keys into a two-entry budget: the coldest goes.
         run(TOGGLE_G, &base);
         run(XYZ_G, &base);
         run(TOGGLE_G, &base); // refresh toggle: xyz is now coldest
-        run(MFIG1_G, &base.clone().with_reduce(ReduceOptions::default()));
+        run(MFIG1_G, &reduce);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         // toggle survived its refresh; xyz was the victim.
@@ -939,8 +950,8 @@ Go- Req~
         run(XYZ_G, &base);
         assert_eq!(cache.evictions(), 2, "evicted entry still resident");
         // Tightening the bound evicts immediately.
-        cache.set_capacity(Some(1));
-        assert_eq!((cache.len(), cache.evictions()), (1, 3));
+        cache.set_byte_bound(Some(xyz));
+        assert_eq!((cache.len(), cache.evictions(), cache.bytes()), (1, 3, xyz));
     }
 
     #[test]

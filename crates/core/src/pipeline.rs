@@ -15,7 +15,7 @@
 //! as in the paper's flow, so a stage-by-stage chain and the
 //! [`Parsed::run`] shortcut produce identical results.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use reshuffle_handshake::{expand_handshakes_stats, ExpansionOptions, HandshakeError};
@@ -620,7 +620,7 @@ impl Parsed {
             resolved.synthesize(opts.style)?
         };
         if let Some(cache) = cache {
-            cache.insert(key, done.synthesis.clone());
+            cache.insert(key, Arc::clone(&done.synthesis));
         }
         Ok(done)
     }
@@ -975,15 +975,14 @@ impl Resolved {
                 let run = simulate(&synthesis.stg, &delays, &SimOptions::default())?;
                 Ok(run.period.to_bits())
             };
+            // Candidate syntheses stay choice-agnostic (as a standalone
+            // run stores them, so they can be shared); only the winner
+            // gets its ordering choices re-attached.
             if let Some(cache) = &cand_cache {
-                if let Some(mut synthesis) = cache.lookup_shared(cand_key) {
+                if let Some(synthesis) = cache.lookup_shared(cand_key) {
                     shared_hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    // The cached entry is choice-agnostic (stored as a
-                    // standalone run); re-attach this candidate's
-                    // ordering choices.
-                    synthesis.expansion = c.choices;
                     let cycle_bits = cycle_of(&synthesis)?;
-                    return Ok((synthesis, cycle_bits, None));
+                    return Ok((synthesis, c.choices, cycle_bits, None));
                 }
             }
             // A complex-gate derivation under `Reject` has no
@@ -1002,23 +1001,19 @@ impl Resolved {
                 verify_against_sg(&c.sg, &netlist)?;
                 vsp.end(&[("states", FieldVal::U64(c.sg.num_states() as u64))]);
             }
-            let synthesis = Synthesis {
+            let synthesis = Arc::new(Synthesis {
                 stg: c.stg,
                 sg: c.sg,
                 netlist,
                 inserted: c.inserted,
                 moves: c.moves,
-                expansion: c.choices,
-            };
+                expansion: Vec::new(),
+            });
             let cycle_bits = cycle_of(&synthesis)?;
             if let Some(cache) = &cand_cache {
-                // Store choice-agnostic, exactly as a standalone run of
-                // this candidate would have produced it.
-                let mut stored = synthesis.clone();
-                stored.expansion = Vec::new();
-                cache.insert(cand_key, stored);
+                cache.insert(cand_key, Arc::clone(&synthesis));
             }
-            Ok((synthesis, cycle_bits, literals))
+            Ok((synthesis, c.choices, cycle_bits, literals))
         });
         self.ctx.diag.shared_candidate_hits +=
             shared_hits.load(std::sync::atomic::Ordering::Relaxed);
@@ -1035,7 +1030,7 @@ impl Resolved {
         let mut estimated = 0u64;
         let mut best: Option<((usize, u32, u64, usize), usize)> = None;
         for (i, outcome) in outcomes.iter().enumerate() {
-            let Ok((s, cycle_bits, literals)) = outcome else {
+            let Ok((s, _, cycle_bits, literals)) = outcome else {
                 continue;
             };
             let literals = match literals {
@@ -1056,11 +1051,18 @@ impl Resolved {
             ("estimated", FieldVal::U64(estimated)),
         ]);
         let (_, winner) = best.expect("enforce_live guarantees a live candidate");
-        let (synthesis, _, _) = outcomes
+        let (synthesis, choices, _, _) = outcomes
             .into_iter()
             .nth(winner)
             .expect("winner index in range")
             .expect("winner is live");
+        let synthesis = if choices.is_empty() {
+            synthesis
+        } else {
+            let mut owned = unwrap_or_clone(synthesis);
+            owned.expansion = choices;
+            Arc::new(owned)
+        };
 
         let mut ctx = self.ctx;
         ctx.diag.record(
@@ -1072,7 +1074,7 @@ impl Resolved {
         );
         sp.end(&[("ranked", FieldVal::U64(ranked as u64))]);
         if let Some(cache) = &ctx.cache {
-            cache.insert(key, synthesis.clone());
+            cache.insert(key, Arc::clone(&synthesis));
         }
         Ok(Synthesized {
             synthesis,
@@ -1085,10 +1087,20 @@ impl Resolved {
 
 /// The finished pipeline: the winning synthesis and the diagnostics of
 /// the run that produced it.
+///
+/// The synthesis is shared with the cache entry it came from (or was
+/// stored as), so borrowing it copies nothing; consuming it deep-copies
+/// only while a cache still holds that entry.
 #[derive(Debug)]
 pub struct Synthesized {
-    pub(crate) synthesis: Synthesis,
+    pub(crate) synthesis: Arc<Synthesis>,
     pub(crate) diag: Diagnostics,
+}
+
+/// Takes the synthesis out of its `Arc`, deep-copying only when another
+/// holder (a cache entry) still shares it.
+fn unwrap_or_clone(synthesis: Arc<Synthesis>) -> Synthesis {
+    Arc::try_unwrap(synthesis).unwrap_or_else(|shared| (*shared).clone())
 }
 
 impl Synthesized {
@@ -1108,13 +1120,15 @@ impl Synthesized {
         &self.diag
     }
 
-    /// Consumes the stage, returning the synthesis.
+    /// Consumes the stage, returning the synthesis (a deep copy when a
+    /// cache still holds it).
     pub fn into_synthesis(self) -> Synthesis {
-        self.synthesis
+        unwrap_or_clone(self.synthesis)
     }
 
-    /// Consumes the stage, returning synthesis and diagnostics.
+    /// Consumes the stage, returning synthesis and diagnostics (the
+    /// synthesis is a deep copy when a cache still holds it).
     pub fn into_parts(self) -> (Synthesis, Diagnostics) {
-        (self.synthesis, self.diag)
+        (unwrap_or_clone(self.synthesis), self.diag)
     }
 }

@@ -301,9 +301,8 @@ impl SynthCache {
     /// Encodes the cache into the versioned binary snapshot format:
     /// entries with their LRU recency stamps plus the lifetime
     /// counters. Entries are written sorted by key, so encoding an
-    /// unchanged cache produces byte-identical output (the capacity
-    /// bound is runtime configuration and is *not* part of the
-    /// snapshot).
+    /// unchanged cache produces byte-identical output (the byte bound
+    /// is runtime configuration and is *not* part of the snapshot).
     pub fn to_bytes(&self) -> Vec<u8> {
         let entries = self.export_entries();
         let (hits, misses, shared_hits, evictions) = self.export_counters();
@@ -332,9 +331,10 @@ impl SynthCache {
     /// its checksum/length and dropped; its byte count is reported in
     /// [`Recovery::torn_bytes`].
     ///
-    /// The recovered cache is unbounded and has no journal attached —
-    /// re-apply a bound with [`SynthCache::set_capacity`] and re-arm
-    /// journaling with [`SynthCache::attach_journal`].
+    /// The recovered cache is unbounded (every entry charged) and has
+    /// no journal attached — re-apply a bound with
+    /// [`SynthCache::set_byte_bound`] and re-arm journaling with
+    /// [`SynthCache::attach_journal`].
     ///
     /// # Errors
     ///

@@ -59,9 +59,7 @@ impl ClientConn {
     ///
     /// Connect failures.
     pub fn connect(addr: &str) -> io::Result<ClientConn> {
-        Ok(ClientConn {
-            reader: BufReader::new(TcpStream::connect(addr)?),
-        })
+        ClientConn::over(TcpStream::connect(addr)?)
     }
 
     /// Connects with a bounded dial and a per-read timeout — the
@@ -83,6 +81,13 @@ impl ClientConn {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
         let stream = TcpStream::connect_timeout(&sockaddr, connect)?;
         stream.set_read_timeout(Some(read))?;
+        ClientConn::over(stream)
+    }
+
+    /// Wraps a connected stream with Nagle's algorithm off, so a
+    /// request never waits on the delayed ACK of the previous one.
+    fn over(stream: TcpStream) -> io::Result<ClientConn> {
+        stream.set_nodelay(true)?;
         Ok(ClientConn {
             reader: BufReader::new(stream),
         })

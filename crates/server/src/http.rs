@@ -115,8 +115,12 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Wraps an accepted stream.
+    /// Wraps an accepted stream, with Nagle's algorithm off: a
+    /// response is one write, and it must not wait on the peer's
+    /// delayed ACK of the previous one.
     pub fn new(stream: TcpStream) -> Conn {
+        // Best effort: a socket that refuses the option still serves.
+        let _ = stream.set_nodelay(true);
         Conn {
             reader: BufReader::new(DeadlineStream {
                 stream,
@@ -289,6 +293,10 @@ fn reason(status: u16) -> &'static str {
 /// appended to the standard set (a [`Conn`] wraps this for its own
 /// stream; the acceptor uses it directly to shed load with 503).
 ///
+/// Head and body go out in one `write_all` of one buffer: split
+/// writes let Nagle's algorithm hold the body until the peer's
+/// delayed ACK of the head, a ~40 ms stall per response.
+///
 /// # Errors
 ///
 /// Propagates write failures.
@@ -300,20 +308,21 @@ pub fn write_response_with(
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
-    use std::fmt::Write as _;
-    let mut head = format!(
+    let mut out = Vec::with_capacity(256 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: {}\r\n",
         reason(status),
         body.len(),
         if close { "close" } else { "keep-alive" },
-    );
+    )?;
     for (name, value) in extra {
-        let _ = write!(head, "{name}: {value}\r\n");
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -361,6 +370,25 @@ mod tests {
         assert!(!req.close);
     }
 
+    /// A sink that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn captures_x_trace_id_and_writes_extra_headers() {
         let req = roundtrip(b"GET / HTTP/1.1\r\nX-Trace-Id: abc123\r\n\r\n", 64).unwrap();
@@ -368,7 +396,7 @@ mod tests {
         let req = roundtrip(b"GET / HTTP/1.1\r\n\r\n", 64).unwrap();
         assert!(req.trace_id.is_none());
 
-        let mut out = Vec::new();
+        let mut out = CountingSink::default();
         write_response_with(
             &mut out,
             200,
@@ -378,9 +406,49 @@ mod tests {
             true,
         )
         .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        assert_eq!(out.writes, 1, "head and body must go out in one write");
+        let text = String::from_utf8(out.bytes).unwrap();
         assert!(text.contains("\r\nX-Trace-Id: deadbeef\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\nok"), "{text}");
+    }
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let conn = Conn::new(stream);
+        assert!(conn.reader.get_ref().stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn sequential_keep_alive_requests_do_not_stall() {
+        // A delayed-ACK stall costs ~40 ms per response; 20 of them
+        // would take ~0.9 s.
+        const N: usize = 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = Conn::new(stream);
+            for _ in 0..N {
+                conn.read_request(64, LONG, LONG).unwrap();
+                conn.write_response_with(200, "text/plain", &[], &[b'x'; 512], false)
+                    .unwrap();
+            }
+        });
+        let mut client = crate::client::ClientConn::connect(&addr.to_string()).unwrap();
+        let t0 = Instant::now();
+        for _ in 0..N {
+            let response = client.exchange(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+            assert_eq!((response.status, response.body.len()), (200, 512));
+        }
+        let elapsed = t0.elapsed();
+        server.join().unwrap();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "{N} keep-alive exchanges took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!    executed synthesis is appended to an fsync'd journal the moment
 //!    it lands, and a clean shutdown compacts the journal into a fresh
 //!    snapshot — so a `kill -9` at any point loses zero completed
-//!    syntheses. An optional
-//!    [`capacity`](ServerConfig::with_cache_capacity) bounds the cache
-//!    with LRU eviction.
+//!    syntheses. A [`byte bound`](ServerConfig::with_cache_bytes),
+//!    2 MiB by default, caps the entries' charged heap estimate with
+//!    LRU eviction, so throughput never turns into unbounded memory.
 //! 2. **Keep-alive connections** — one accepted socket serves many
 //!    requests (HTTP/1.1 semantics: reuse unless `Connection: close`
 //!    or HTTP/1.0), bounded by an
@@ -98,6 +98,9 @@ pub use http::{write_response_with, Conn, HttpError, Request};
 pub use reshuffle_obs::{RingSink, SinkHandle, TraceId};
 pub use router::{Router, RouterConfig};
 
+/// The default [`ServerConfig::cache_bytes`].
+const DEFAULT_CACHE_BYTES: usize = 2 << 20;
+
 /// How the service binds, pools, bounds and persists.
 ///
 /// `#[non_exhaustive]`: build it with [`ServerConfig::new`] and the
@@ -115,7 +118,7 @@ pub use router::{Router, RouterConfig};
 /// let cfg = ServerConfig::new()
 ///     .with_addr("127.0.0.1:0")
 ///     .with_threads(2)
-///     .with_cache_capacity(Some(64));
+///     .with_cache_bytes(Some(1 << 20));
 /// let server = Server::start(cfg)?;
 ///
 /// let mut conn = std::net::TcpStream::connect(server.addr())?;
@@ -151,8 +154,10 @@ pub struct ServerConfig {
     pub max_requests_per_conn: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// LRU bound on the synthesis cache (`None` = unbounded).
-    pub cache_capacity: Option<usize>,
+    /// LRU bound on the synthesis cache's charged bytes, an estimate
+    /// of the entries' heap footprint (`None` = unbounded; 2 MiB by
+    /// default).
+    pub cache_bytes: Option<usize>,
     /// Snapshot file the cache is loaded from at startup and saved to
     /// at shutdown (`None` = in-memory only).
     pub cache_path: Option<PathBuf>,
@@ -179,7 +184,7 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(5),
             max_requests_per_conn: 128,
             max_body_bytes: 1024 * 1024,
-            cache_capacity: None,
+            cache_bytes: Some(DEFAULT_CACHE_BYTES),
             cache_path: None,
             shard_id: None,
             trace_level: std::env::var("RESHUFFLE_TRACE")
@@ -195,7 +200,7 @@ impl ServerConfig {
     /// The default configuration (ephemeral localhost port, pool sized
     /// by available parallelism, 64-deep queue, 30 s request timeout,
     /// 5 s keep-alive idle deadline, 128 requests per connection,
-    /// 1 MiB bodies, unbounded in-memory cache).
+    /// 1 MiB bodies, in-memory cache bounded at 2 MiB).
     pub fn new() -> ServerConfig {
         ServerConfig::default()
     }
@@ -242,9 +247,11 @@ impl ServerConfig {
         self
     }
 
-    /// Bounds the synthesis cache (`None` = unbounded).
-    pub fn with_cache_capacity(mut self, capacity: Option<usize>) -> ServerConfig {
-        self.cache_capacity = capacity;
+    /// Bounds the synthesis cache's charged bytes (`None` =
+    /// unbounded); see [`SynthCache::bytes`] for what is charged.
+    /// [`Server::start`] rejects `Some(0)`.
+    pub fn with_cache_bytes(mut self, bytes: Option<usize>) -> ServerConfig {
+        self.cache_bytes = bytes;
         self
     }
 
@@ -695,9 +702,12 @@ impl SynthService {
                 "cache",
                 Json::obj(vec![
                     ("entries", Json::Num(cache.len() as f64)),
+                    ("bytes", Json::Num(cache.bytes() as f64)),
                     (
-                        "capacity",
-                        cache.capacity().map_or(Json::Null, |c| Json::Num(c as f64)),
+                        "byte_bound",
+                        cache
+                            .byte_bound()
+                            .map_or(Json::Null, |b| Json::Num(b as f64)),
                     ),
                     ("hits", Json::Num(cache.hits() as f64)),
                     ("misses", Json::Num(cache.misses() as f64)),
@@ -821,6 +831,11 @@ impl SynthService {
             cache.len() as f64,
         );
         w.gauge(
+            "reshuffle_cache_bytes",
+            "Charged bytes (heap estimate) resident in the synthesis cache.",
+            cache.bytes() as f64,
+        );
+        w.gauge(
             "reshuffle_in_flight",
             "Synthesize flights currently executing.",
             self.flights.in_flight() as f64,
@@ -897,16 +912,21 @@ impl Server {
     /// journals (a torn final journal record — a crash mid-append —
     /// is recovered from, not an error).
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
+        if cfg.cache_bytes == Some(0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the cache byte bound must be at least 1",
+            ));
+        }
         let cache = match &cfg.cache_path {
-            Some(path) => {
-                let store = FileStore::new(path);
-                let recovery = SynthCache::recover(&store)?;
-                recovery.cache.attach_journal(Arc::new(store));
-                recovery.cache
-            }
+            Some(path) => SynthCache::recover(&FileStore::new(path))?.cache,
             None => SynthCache::new(),
         };
-        cache.set_capacity(cfg.cache_capacity);
+        // Bound the recovered entries before journaling resumes.
+        cache.set_byte_bound(cfg.cache_bytes);
+        if let Some(path) = &cfg.cache_path {
+            cache.attach_journal(Arc::new(FileStore::new(path)));
+        }
         let tracer = Tracer::new(
             cfg.trace_level,
             cfg.trace_sink.clone().unwrap_or_else(SinkHandle::stderr),

@@ -6,7 +6,7 @@
 //! ```sh
 //! # A backend shard: synthesis, cache, journal.
 //! reshuffle-server --addr 127.0.0.1:7890 --shard-id 0 \
-//!     --cache /tmp/shard0.cache --cache-capacity 1024 --threads 4
+//!     --cache /tmp/shard0.cache --cache-bytes 67108864 --threads 4
 //!
 //! # The router tier in front of a fleet: same POST /synthesize
 //! # surface, forwards key % N to the listed backends in order.
@@ -25,7 +25,8 @@ fn usage() -> &'static str {
      \x20                       [--timeout-secs N] [--idle-timeout-secs N]\n\
      \x20                       [--max-requests-per-conn N] [--max-body-bytes N]\n\
      \x20                       [--trace-level N] [--trace-file PATH]\n\
-     \x20  serve mode:          [--cache PATH] [--cache-capacity N] [--shard-id N]\n\
+     \x20  serve mode:          [--cache PATH] [--cache-bytes N] [--shard-id N]\n\
+     \x20                       (--cache-bytes: LRU bound, default 2 MiB)\n\
      \x20  router mode:         --route BACKEND1,BACKEND2,...\n\
      \x20                       [--backend-retries N] [--connect-timeout-ms N]\n\
      \x20                       [--health-interval-ms N]"
@@ -95,7 +96,7 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
                 }
                 "--trace-level" => cfg = cfg.with_trace_level(num(flag, v)?),
                 "--trace-file" => cfg = cfg.with_trace_sink(trace_sink(v)?),
-                "--cache" | "--cache-capacity" | "--shard-id" => {
+                "--cache" | "--cache-bytes" | "--shard-id" => {
                     return Err(format!(
                         "`{flag}` applies to serve mode — the router holds no cache\n{}",
                         usage()
@@ -122,7 +123,7 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
             "--max-requests-per-conn" => cfg = cfg.with_max_requests_per_conn(num(flag, v)?),
             "--max-body-bytes" => cfg = cfg.with_max_body_bytes(num(flag, v)?),
             "--cache" => cfg = cfg.with_cache_path(v),
-            "--cache-capacity" => cfg = cfg.with_cache_capacity(Some(num(flag, v)?)),
+            "--cache-bytes" => cfg = cfg.with_cache_bytes(Some(num(flag, v)?)),
             "--shard-id" => cfg = cfg.with_shard_id(num(flag, v)?),
             "--trace-level" => cfg = cfg.with_trace_level(num(flag, v)?),
             "--trace-file" => cfg = cfg.with_trace_sink(trace_sink(v)?),

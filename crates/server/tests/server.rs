@@ -203,14 +203,47 @@ fn cache_survives_a_restart_and_replays_as_a_hit() {
 
 #[test]
 fn bounded_cache_reports_evictions() {
-    let server = Server::start(ServerConfig::new().with_cache_capacity(Some(1))).unwrap();
+    let specs = [XYZ_G.to_string(), TOGGLE_G.to_string(), scaled_pipeline(6)];
+    // Each entry's charge, read off an unbounded server.
+    let unbounded = Server::start(ServerConfig::new().with_cache_bytes(None)).unwrap();
+    let mut charges = Vec::new();
+    let mut before = 0.0;
+    for g in &specs {
+        assert_eq!(post(unbounded.addr(), "/synthesize", &synth_body(g)).0, 200);
+        let after = cache_stat(&stats(unbounded.addr()), "bytes");
+        charges.push(after - before);
+        before = after;
+    }
+    assert_eq!(
+        stats(unbounded.addr())
+            .get("cache")
+            .unwrap()
+            .get("byte_bound"),
+        Some(&Json::Null)
+    );
+    unbounded.stop().unwrap();
+
+    // Room for toggle plus the scaled entry, but not for all three:
+    // the scaled entry evicts xyz, the least recently used.
+    let bound = charges[1] + charges[2];
+    assert!(charges[0] + charges[1] <= bound, "{charges:?}");
+    let server = Server::start(ServerConfig::new().with_cache_bytes(Some(bound as usize))).unwrap();
     let addr = server.addr();
-    assert_eq!(post(addr, "/synthesize", &synth_body(XYZ_G)).0, 200);
-    assert_eq!(post(addr, "/synthesize", &synth_body(TOGGLE_G)).0, 200);
+    for g in &specs {
+        assert_eq!(post(addr, "/synthesize", &synth_body(g)).0, 200);
+    }
     let doc = stats(addr);
-    assert_eq!(cache_stat(&doc, "entries"), 1.0, "{}", doc.render());
-    assert_eq!(cache_stat(&doc, "capacity"), 1.0);
-    assert!(cache_stat(&doc, "evictions") >= 1.0);
+    assert_eq!(cache_stat(&doc, "evictions"), 1.0, "{}", doc.render());
+    assert_eq!(cache_stat(&doc, "entries"), 2.0);
+    assert_eq!(cache_stat(&doc, "bytes"), bound);
+    assert_eq!(cache_stat(&doc, "byte_bound"), bound);
+    let hit = |g: &str| {
+        let (status, body) = post(addr, "/synthesize", &synth_body(g));
+        assert_eq!(status, 200, "{body}");
+        json::parse(&body).unwrap().get("cache_hit") == Some(&Json::Bool(true))
+    };
+    assert!(hit(TOGGLE_G), "toggle was evicted");
+    assert!(!hit(XYZ_G), "xyz was not evicted");
     server.stop().unwrap();
 }
 
@@ -397,6 +430,7 @@ fn metrics_serves_valid_prometheus_with_latency_histograms() {
         "reshuffle_requests_total",
         "reshuffle_synth_requests_total",
         "reshuffle_cache_hits_total",
+        "reshuffle_cache_bytes",
         "reshuffle_prereduce_places_removed_total",
         "reshuffle_prereduce_transitions_removed_total",
         "reshuffle_lattice_prefix_hits_total",
